@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <string>
 
 #include "attack/engine.h"
@@ -38,6 +39,16 @@ inline EvasionResult run_attack(Attack& attack, const Dataset& eval,
   std::printf("    [%s: %zd images, %.1fs]\n", attack.name().c_str(),
               static_cast<std::ptrdiff_t>(eval.size()), secs);
   return r;
+}
+
+/// Local date as YYYY-MM-DD, the `date` field of bench JSON records.
+inline std::string today() {
+  const std::time_t t = std::time(nullptr);
+  char buf[16];
+  std::tm tm{};
+  localtime_r(&t, &tm);
+  std::strftime(buf, sizeof(buf), "%Y-%m-%d", &tm);
+  return buf;
 }
 
 inline const char* kArchList[] = {"ResNet", "MobileNet", "DenseNet"};

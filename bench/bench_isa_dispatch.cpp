@@ -25,7 +25,6 @@
 //   DIVA_ISA_BENCH_ROUNDS    interleaved rounds (default 3)
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -46,15 +45,6 @@ namespace {
 
 using namespace diva;
 
-std::string today() {
-  const std::time_t t = std::time(nullptr);
-  char buf[16];
-  std::tm tm{};
-  localtime_r(&t, &tm);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%d", &tm);
-  return buf;
-}
-
 struct Workload {
   const char* mode;
   std::int64_t images;                 // per timed call
@@ -74,7 +64,7 @@ int main() {
   DIVA_CHECK(json.good(), "cannot open JSON output path " << json_path);
 
   banner(std::string("kernel ISA dispatch sweep") + (smoke ? " (smoke)" : ""));
-  const std::string date = today();
+  const std::string date = bench::today();
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   const std::string cpu_flags = cpu_features_summary();
   const std::vector<IsaTier> tiers = available_isa_tiers();

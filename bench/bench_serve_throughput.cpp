@@ -25,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <map>
 #include <string>
@@ -48,15 +47,6 @@ namespace {
 using namespace diva;
 using scenario::AdaptedKind;
 using scenario::OriginalKind;
-
-std::string today() {
-  const std::time_t t = std::time(nullptr);
-  char buf[16];
-  std::tm tm{};
-  localtime_r(&t, &tm);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%d", &tm);
-  return buf;
-}
 
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
@@ -158,7 +148,7 @@ int main() {
     for (unsigned c : client_axis)
       for (std::int64_t win : window_axis) sweep.push_back({w, c, win});
 
-  const std::string date = today();
+  const std::string date = bench::today();
   // Sharding across processes can only pay when there are cores to
   // shard onto; every JSON row records the machine width so a flat
   // curve on a small container reads as what it is (an overhead

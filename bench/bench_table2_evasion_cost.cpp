@@ -15,7 +15,6 @@
 //   DIVA_TABLE2_SMOKE=1   downsampled sweep for CI
 //   DIVA_TABLE2_JSON      sweep output path (default
 //                         table2_probe_compression.json)
-#include <ctime>
 #include <fstream>
 #include <thread>
 
@@ -29,15 +28,6 @@ using namespace diva;
 using namespace diva::bench;
 
 namespace {
-
-std::string today() {
-  const std::time_t t = std::time(nullptr);
-  char buf[16];
-  std::tm tm{};
-  localtime_r(&t, &tm);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%d", &tm);
-  return buf;
-}
 
 std::uint64_t counter_of(const telemetry::Snapshot& s, const char* name) {
   const auto it = s.counters.find(name);

@@ -1,13 +1,16 @@
 // AttackEngine: deterministic data-parallel execution of attacks.
 //
 // The engine splits an eval batch into fixed-size shards and runs the
-// attack on each shard across a runtime::ThreadPool. Shard boundaries
-// depend only on the batch size (never on the thread count), per-sample
-// work is independent (eval-mode forwards, per-sample momentum and
-// projection), and random starts draw from per-sample RNG streams keyed
-// by the *global* sample index — so the sharded result is bit-identical
-// to the sequential result for a fixed seed, whether the engine runs
-// with 1, 2, 4, or 8 threads.
+// attack on each shard through runtime's run_tasks() over its own
+// ThreadPool. With threads == 1 there is no pool: the shards run on the
+// caller, in order, so their kernels still use the global pool (on an
+// engine pool thread, nested parallel_for runs serially). Shard
+// boundaries depend only on the batch size (never on the thread count),
+// per-sample work is independent (eval-mode forwards, per-sample
+// momentum and projection), and random starts draw from per-sample RNG
+// streams keyed by the *global* sample index — so the sharded result is
+// bit-identical to the sequential result for a fixed seed, whether the
+// engine runs with 1, 2, 4, or 8 threads.
 //
 // Stateful gradient sources (Module-backed) serialize their
 // forward/backward pairs internally; derivative-free sources (the int8
@@ -40,9 +43,11 @@ class AttackEngine {
   AttackEngine(const AttackEngine&) = delete;
   AttackEngine& operator=(const AttackEngine&) = delete;
 
-  /// Runs the attack over the batch, sharded across the pool. Falls back
-  /// to a single sequential call when the attack is not shardable (e.g.
-  /// it carries a step callback) or the batch fits in one shard.
+  /// Runs the attack over the batch, sharded across the pool, and
+  /// rethrows the first shard's exception once every shard has finished.
+  /// Falls back to a single sequential call when the attack is not
+  /// shardable (e.g. it carries a step callback) or the batch fits in
+  /// one shard.
   Tensor run(Attack& attack, const Tensor& x,
              const std::vector<int>& labels) const;
 

@@ -94,6 +94,14 @@ void micro(const void* ap_v, const void* bp_v, std::int64_t kc,
 // round-up corrections use mask registers instead of blend vectors.
 // --------------------------------------------------------------------------
 
+// GCC 12 false positive (GCC bug 105593): unmasked AVX-512 intrinsics
+// pass _mm512_undefined_epi32()'s self-initialized, never-read `__Y` as
+// merge source, which -Wmaybe-uninitialized flags once inlined here.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 __m512i srdhm_avx512(__m512i a, __m512i b) {
   const __m512i nudge = _mm512_set1_epi64(1LL << 30);
   __m512i even = _mm512_mul_epi32(a, b);  // even lanes -> 8 x int64
@@ -158,6 +166,10 @@ void requant_row(const std::int32_t* raw, std::int64_t n, std::int32_t base,
         std::clamp(scaled + out_zp, act_min, act_max));
   }
 }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 }  // namespace
 

@@ -1,13 +1,25 @@
 #include "nn/conv.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "kernels/gemm.h"
 #include "kernels/workspace.h"
 #include "runtime/thread_pool.h"
 
 namespace diva {
+namespace {
+
+// Backward passes accumulate parameter gradients per parallel_for chunk
+// into parts[chunk_begin]; other entries stay empty. Summing in chunk
+// order after the join, not as chunks finish, makes training repeatable.
+void add_in_chunk_order(const std::vector<Tensor>& parts, Tensor& grad) {
+  for (const Tensor& part : parts) {
+    if (part.empty()) continue;
+    for (std::int64_t i = 0; i < part.numel(); ++i) grad[i] += part[i];
+  }
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::string name, std::int64_t in_c, std::int64_t out_c,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
@@ -79,15 +91,15 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t in_stride = in_c_ * geom_.in_h * geom_.in_w;
   const float* wraw = weff_->raw();
 
-  // Per-chunk weight/bias gradient accumulators avoid a shared-write race.
   const bool want_param_grads = param_grads_enabled();
-  std::mutex reduce_mu;
+  std::vector<Tensor> dw_parts(want_param_grads ? batch_ : 0);
+  std::vector<Tensor> db_parts(want_param_grads ? batch_ : 0);
   parallel_for_chunked(0, batch_, [&](std::int64_t lo, std::int64_t hi) {
     auto frame = Workspace::tls().frame();
     float* dcol = frame.alloc<float>(k2 * ohw);
     float* cols = want_param_grads ? frame.alloc<float>(k2 * ohw) : nullptr;
-    float* dw_local =
-        want_param_grads ? frame.alloc_zeroed<float>(out_c_ * k2) : nullptr;
+    if (want_param_grads) dw_parts[lo] = Tensor(Shape{out_c_, k2});
+    float* dw_local = want_param_grads ? dw_parts[lo].raw() : nullptr;
     double* db_local =
         want_param_grads ? frame.alloc_zeroed<double>(out_c_) : nullptr;
 
@@ -114,17 +126,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       col2im(dcol, geom_, grad_in.raw() + n * in_stride);
     }
 
-    if (want_param_grads) {
-      std::lock_guard<std::mutex> lock(reduce_mu);
-      float* dw = weight_.grad.raw();
-      for (std::int64_t i = 0; i < out_c_ * k2; ++i) dw[i] += dw_local[i];
-      if (with_bias_) {
-        for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-          bias_.grad[oc] += static_cast<float>(db_local[oc]);
-        }
-      }
+    if (want_param_grads && with_bias_) {
+      db_parts[lo] = Tensor(Shape{out_c_},
+                            std::vector<float>(db_local, db_local + out_c_));
     }
   });
+  add_in_chunk_order(dw_parts, weight_.grad);
+  add_in_chunk_order(db_parts, bias_.grad);
 
   // Step over: drop the forward caches so attack loops don't carry
   // per-layer buffers between iterations.
@@ -211,11 +219,13 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
                     << cached_input_.dim(0));
 
   Tensor grad_in(Shape{batch, channels_, geom_.in_h, geom_.in_w});
-  std::mutex reduce_mu;
-
+  std::vector<Tensor> dw_parts(want_param_grads ? batch : 0);
+  std::vector<Tensor> db_parts(want_param_grads ? batch : 0);
   parallel_for_chunked(0, batch, [&](std::int64_t lo, std::int64_t hi) {
-    Tensor dw_local(weight_.value.shape());
-    Tensor db_local(Shape{channels_});
+    if (want_param_grads) {
+      dw_parts[lo] = Tensor(weight_.value.shape());
+      db_parts[lo] = Tensor(Shape{channels_});
+    }
     for (std::int64_t n = lo; n < hi; ++n) {
       for (std::int64_t c = 0; c < channels_; ++c) {
         const float* in = want_param_grads
@@ -226,7 +236,9 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
         const float* w = weff_->raw() + c * kernel_ * kernel_;
         float* gi =
             grad_in.raw() + (n * channels_ + c) * geom_.in_h * geom_.in_w;
-        float* dw = dw_local.raw() + c * kernel_ * kernel_;
+        float* dw = want_param_grads
+                        ? dw_parts[lo].raw() + c * kernel_ * kernel_
+                        : nullptr;
         double bsum = 0.0;
         for (std::int64_t y = 0; y < oh; ++y) {
           for (std::int64_t xo = 0; xo < ow; ++xo) {
@@ -247,21 +259,12 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
             }
           }
         }
-        db_local[c] += static_cast<float>(bsum);
-      }
-    }
-    if (want_param_grads) {
-      std::lock_guard<std::mutex> lock(reduce_mu);
-      for (std::int64_t i = 0; i < dw_local.numel(); ++i) {
-        weight_.grad[i] += dw_local[i];
-      }
-      if (with_bias_) {
-        for (std::int64_t c = 0; c < channels_; ++c) {
-          bias_.grad[c] += db_local[c];
-        }
+        if (want_param_grads) db_parts[lo][c] += static_cast<float>(bsum);
       }
     }
   });
+  add_in_chunk_order(dw_parts, weight_.grad);
+  if (with_bias_) add_in_chunk_order(db_parts, bias_.grad);
 
   cached_input_ = Tensor();
   weff_ = nullptr;

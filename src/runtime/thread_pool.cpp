@@ -3,9 +3,7 @@
 #include <pthread.h>
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <mutex>
 
 namespace diva {
 namespace {
@@ -87,6 +85,38 @@ ThreadPool& global_pool() {
   return *g_pool;
 }
 
+void run_tasks(ThreadPool* pool, std::int64_t count,
+               const std::function<void(std::int64_t)>& fn) {
+  if (pool == nullptr || count <= 1) {
+    for (std::int64_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  // The join state lives on this frame. Each task's last touch of it is
+  // the decrement and notify under `mu`; the waiter can only see zero by
+  // taking `mu` after the last task released it, so no task is still
+  // using the frame when this function returns.
+  std::mutex mu;
+  std::condition_variable done;
+  std::int64_t remaining = count;
+  std::exception_ptr first_error;
+  for (std::int64_t i = 0; i < count; ++i) {
+    pool->submit([&, i] {
+      std::exception_ptr error;
+      try {
+        fn(i);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (error && !first_error) first_error = std::move(error);
+      if (--remaining == 0) done.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  done.wait(lock, [&] { return remaining == 0; });
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 void parallel_for_chunked(
     std::int64_t begin, std::int64_t end,
     const std::function<void(std::int64_t, std::int64_t)>& fn,
@@ -105,33 +135,10 @@ void parallel_for_chunked(
     fn(begin, end);
     return;
   }
-
-  std::atomic<std::int64_t> remaining(num_chunks);
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  for (std::int64_t c = 0; c < num_chunks; ++c) {
+  run_tasks(&pool, num_chunks, [&](std::int64_t c) {
     const std::int64_t lo = begin + c * chunk;
-    const std::int64_t hi = std::min(end, lo + chunk);
-    pool.submit([&, lo, hi] {
-      try {
-        fn(lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+    fn(lo, std::min(end, lo + chunk));
+  });
 }
 
 void parallel_for(std::int64_t begin, std::int64_t end,

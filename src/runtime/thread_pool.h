@@ -1,9 +1,16 @@
-// Minimal work-stealing-free thread pool plus parallel_for.
+// Fixed-size thread pool plus the one blocking fork-join built on it.
 //
-// Used by the tensor and kernel code to parallelize batched convolutions
-// and matrix multiplies across CPU cores. The pool is created once per
-// process (see global_pool()); parallel_for blocks until all chunks
-// complete, and rethrows the first exception raised by any chunk.
+// run_tasks() is the only place a caller waits for pool work: the
+// tensor/kernel parallel_for, the AttackEngine's shard fan-out and the
+// attack-serve worker's job fan-out all go through it. It runs fn(i)
+// for every index, rethrows the first exception, and returns only after
+// every task has finished touching the join state (the count is
+// decremented and the waiter notified under one mutex).
+//
+// Serial cases, all on the calling thread in index order: a null pool,
+// a single task, and — for parallel_for — a call made from inside a
+// pool worker (enqueueing there could deadlock with every worker
+// blocked on queued chunks) or a range that fits in one chunk.
 #pragma once
 
 #include <condition_variable>
@@ -45,12 +52,19 @@ class ThreadPool {
 /// Process-wide pool used by parallel_for. Lazily constructed.
 ThreadPool& global_pool();
 
+/// Runs fn(i) for every i in [0, count) on `pool` and blocks until all
+/// have returned; rethrows the first exception any task threw. Runs
+/// serially on the caller, in index order, when `pool` is null or
+/// count <= 1; a serial run stops at the first exception. Must not be
+/// called from a task running on `pool`.
+void run_tasks(ThreadPool* pool, std::int64_t count,
+               const std::function<void(std::int64_t)>& fn);
+
 /// Runs fn(i) for i in [begin, end) across the global pool.
 ///
 /// The range is split into contiguous chunks of at least `grain`
-/// iterations. Falls back to serial execution for small ranges.
-/// Blocks until every iteration has completed; rethrows the first
-/// exception thrown by any chunk.
+/// iterations, run through run_tasks(). Serial for small ranges and
+/// when called from inside a pool worker.
 void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t)>& fn,
                   std::int64_t grain = 1);

@@ -57,8 +57,10 @@ struct ServeConfig {
   /// the sharding axis that scales past the mutex-serialized backprop
   /// limit of a single process.
   unsigned workers = 2;
-  /// Threads in each worker's pool (shards of one batch run in
-  /// parallel, exactly like AttackEngine).
+  /// Threads in each worker's pool. A batch's jobs that share one
+  /// attack run in parallel through run_tasks(), exactly like
+  /// AttackEngine shards; 1 runs them in order on the worker's main
+  /// thread.
   unsigned worker_threads = 2;
   /// Samples per shard job; must match the AttackEngine shard_size a
   /// caller compares against (shard geometry is determinism-neutral,

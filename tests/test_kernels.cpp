@@ -1,10 +1,12 @@
 // Kernel-runtime tests: the blocked sgemm pinned against the naive
 // matmul reference, the igemm-backed int8 kernels pinned bit-exactly
 // against the retained scalar references, workspace arena behavior, and
-// batched gradchecks for the GEMM-backed Conv2d/Dense backward.
+// batched gradchecks for the GEMM-backed Conv2d/Dense backward, and
+// run-to-run repeatable conv parameter gradients.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "kernels/gemm.h"
@@ -567,6 +569,43 @@ TEST(KernelBackward, CachesReleasedAfterBackward) {
   Tensor gyd(yd.shape(), 1.0f);
   (void)dense.backward(gyd);
   EXPECT_THROW(dense.backward(gyd), Error);
+}
+
+// Every parameter gradient of `m` after one forward/backward over `x`,
+// concatenated in named_parameters() order.
+std::vector<float> param_grads_after_pass(Module& m, const Tensor& x) {
+  m.zero_grad();
+  const Tensor y = m.forward(x);
+  (void)m.backward(random_tensor(y.shape(), 71));
+  std::vector<float> out;
+  for (const NamedParameter& p : m.named_parameters()) {
+    out.insert(out.end(), p.param->grad.raw(),
+               p.param->grad.raw() + p.param->grad.numel());
+  }
+  return out;
+}
+
+TEST(KernelBackward, ConvParamGradsRepeatableAcrossThreadedPasses) {
+  // The batch spans many parallel_for chunks, each with its own
+  // weight/bias partial. The partials are summed in chunk order, so the
+  // gradient bytes cannot depend on which chunk finished first.
+  const Tensor x = random_tensor(Shape{32, 8, 10, 10}, 72);
+  Conv2d conv("conv", 8, 16, 3, /*stride=*/1, /*pad=*/1);
+  DepthwiseConv2d depthwise("dw", 8, 3, /*stride=*/1, /*pad=*/1);
+  init_parameters(conv, 73);
+  init_parameters(depthwise, 74);
+  for (Module* m : {static_cast<Module*>(&conv),
+                    static_cast<Module*>(&depthwise)}) {
+    const std::vector<float> first = param_grads_after_pass(*m, x);
+    for (int pass = 1; pass < 8; ++pass) {
+      const std::vector<float> again = param_grads_after_pass(*m, x);
+      ASSERT_EQ(again.size(), first.size());
+      EXPECT_EQ(std::memcmp(again.data(), first.data(),
+                            first.size() * sizeof(float)),
+                0)
+          << m->name() << " pass " << pass;
+    }
+  }
 }
 
 }  // namespace

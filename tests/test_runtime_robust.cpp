@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "core/trainer.h"
 #include "data/synth_digits.h"
@@ -55,6 +58,78 @@ TEST(ParallelFor, ChunkedPartitionIsDisjointAndComplete) {
     for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
   }, /*grain=*/7);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, BackToBackShortJoinsStress) {
+  // Each join returns as soon as its last near-empty chunk is counted,
+  // so the next join's state is built while pool threads may still be
+  // leaving the previous task. No join may outlive its own state.
+  for (int round = 0; round < 20000; ++round) {
+    const std::int64_t n = 2 + round % 7;
+    std::atomic<std::int64_t> covered{0};
+    parallel_for_chunked(0, n, [&](std::int64_t lo, std::int64_t hi) {
+      covered += hi - lo;
+    });
+    ASSERT_EQ(covered.load(), n) << "round " << round;
+  }
+}
+
+TEST(RunTasks, RunsEveryIndexExactlyOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(257);
+  run_tasks(&pool, 257, [&](std::int64_t i) {
+    hits[static_cast<std::size_t>(i)]++;
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  run_tasks(&pool, 0, [&](std::int64_t) { FAIL() << "no index to run"; });
+}
+
+TEST(RunTasks, NullPoolAndSingleTaskRunOnCallerInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::int64_t> order;
+  run_tasks(nullptr, 6, [&](std::int64_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
+
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  run_tasks(&pool, 1, [&](std::int64_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
+}
+
+TEST(RunTasks, RethrowsFirstErrorOnlyAfterEveryTaskFinished) {
+  // One worker runs tasks in index order, so index 1 throws first.
+  ThreadPool one(1);
+  std::atomic<int> ran{0};
+  try {
+    run_tasks(&one, 5, [&](std::int64_t i) {
+      ran++;
+      if (i == 1 || i == 3) throw Error("task " + std::to_string(i));
+    });
+    FAIL() << "run_tasks swallowed the error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("task 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ran.load(), 5);
+
+  // The throw lands at once; the other tasks are still sleeping. The
+  // join must wait for every one of them before rethrowing.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(run_tasks(&pool, 12,
+                         [&](std::int64_t i) {
+                           if (i == 0) throw Error("early");
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(5));
+                           finished++;
+                         }),
+               Error);
+  EXPECT_EQ(finished.load(), 11);
 }
 
 TEST(ThreadPool, RunsSubmittedJobs) {
