@@ -153,16 +153,16 @@ void run_engine_throughput_sweep() {
   AttackConfig cfg = ExperimentDefaults::attack();
   cfg.steps = 2;
 
-  // Module-source DIVA: both gradient sources serialize behind their
-  // module mutexes, so this sweep measures engine overhead (sharding,
-  // contention), not parallel speedup — concurrency caps near 2x.
+  // Module-source DIVA: shards backpropagate through the shared float
+  // models concurrently (per-thread module caches), so this sweep
+  // measures in-process backprop scaling.
   {
     const Tensor x = eval_batch(32);
     const auto y = eval_labels(32);
     auto diva =
         make_attack("diva", resnet_targets(), {.cfg = cfg, .c = 1.0f});
     sweep_one("diva/module-sources",
-              "module sources serialize behind mutexes; overhead baseline",
+              "module sources backprop concurrently; in-process scaling",
               *diva, x, y, cfg.steps);
   }
 

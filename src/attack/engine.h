@@ -12,10 +12,10 @@
 // bit-identical to the sequential result for a fixed seed, whether the
 // engine runs with 1, 2, 4, or 8 threads.
 //
-// Stateful gradient sources (Module-backed) serialize their
-// forward/backward pairs internally; derivative-free sources (the int8
-// finite-difference adapter) run fully concurrently, which is where
-// multi-threading pays off most.
+// Every gradient source runs its shards concurrently: Module-backed
+// sources backpropagate through per-thread caches (nn/module.h) and
+// derivative-free sources (the int8 finite-difference adapter) only run
+// const int8 forwards.
 #pragma once
 
 #include <cstdint>

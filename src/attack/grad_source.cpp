@@ -32,13 +32,11 @@ ModuleGradSource::ModuleGradSource(Module& module, std::string label)
       label_(label.empty() ? module.name() : std::move(label)) {}
 
 Tensor ModuleGradSource::logits(const Tensor& x) {
-  std::lock_guard<std::mutex> lock(mu_);
   return module_.forward(x);
 }
 
 Tensor ModuleGradSource::input_grad(const Tensor& x, const GradRequest& req) {
   DIVA_CHECK(req.dlogits, "ModuleGradSource needs a dlogits closure");
-  std::lock_guard<std::mutex> lock(mu_);
   const Tensor l = module_.forward(x);
   return module_.backward(req.dlogits(l));
 }
@@ -69,8 +67,7 @@ Tensor QuantSteGradSource::input_grad(const Tensor& x,
   // dlogits is computed from the *integer* model's logits, then pushed
   // through the float shadow as if quantization were the identity.
   const Tensor ql = model_.forward(x);
-  std::lock_guard<std::mutex> lock(mu_);
-  (void)shadow_.forward(x);  // populate the shadow's backward caches
+  (void)shadow_.forward(x);  // populate this thread's backward caches
   return shadow_.backward(req.dlogits(ql));
 }
 

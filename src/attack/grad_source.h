@@ -13,10 +13,11 @@
 //   dlogits(logits) -> d(objective term)/d(logits)   (backprop sources)
 //   values(logits)  -> per-sample scalar term values (derivative-free
 //                      sources, e.g. finite differences)
-// — and the source picks whichever representation it can use. Making
-// the forward/backward pair a single call lets stateful Module-backed
-// sources guard it with a mutex, which is what allows the AttackEngine
-// to shard one attack across threads while sharing models.
+// — and the source picks whichever representation it can use. The
+// forward/backward pair of one call runs on the calling thread, and
+// Modules keep their backward caches per thread (nn/module.h), so
+// AttackEngine shards share one model and backpropagate concurrently
+// without a lock.
 //
 // Adapters provided here:
 //   ModuleGradSource   — float/QAT Module (Sequential) via backprop.
@@ -68,8 +69,9 @@ class GradSource {
   /// Eval-mode forward: NCHW batch in, [N, classes] float logits out.
   virtual Tensor logits(const Tensor& x) = 0;
 
-  /// d(objective term)/d(x), computed atomically (forward + gradient).
-  /// Thread-safe: may be called concurrently from engine shards.
+  /// d(objective term)/d(x), computed in one call (forward + gradient).
+  /// Thread-safe: logits and input_grad may be called concurrently from
+  /// engine shards between prepare() and restore().
   virtual Tensor input_grad(const Tensor& x, const GradRequest& req) = 0;
 
   /// Enters/leaves attack mode (eval, parameter gradients off). Calls
@@ -99,10 +101,10 @@ class SourcePrepareGuard {
   const std::vector<std::shared_ptr<GradSource>>& sources_;
 };
 
-/// Backprop adapter for any Module (Sequential, QAT nets, ...). The
-/// module's forward/backward pair is stateful and non-reentrant, so the
-/// whole input_grad computation is serialized behind a mutex; parallel
-/// engine shards interleave at gradient granularity.
+/// Backprop adapter for any Module (Sequential, QAT nets, ...). logits
+/// and input_grad take no lock: each call's forward/backward pair runs
+/// on the calling thread, and the module keeps that pair's caches per
+/// thread, so parallel engine shards backpropagate concurrently.
 class ModuleGradSource : public GradSource {
  public:
   explicit ModuleGradSource(Module& module, std::string label = "");
@@ -118,14 +120,15 @@ class ModuleGradSource : public GradSource {
  private:
   Module& module_;
   std::string label_;
-  std::mutex mu_;
+  std::mutex mu_;     // guards prepared_ only
   int prepared_ = 0;  // nesting depth of prepare() calls
 };
 
 /// Straight-through adapter: logits come from the integer-only model,
 /// gradients flow through a float shadow module (typically the QAT twin
 /// the artifact was compiled from). Quantization error is treated as
-/// identity in the backward pass — the classic STE.
+/// identity in the backward pass — the classic STE. Like
+/// ModuleGradSource, input_grad runs concurrently without a lock.
 class QuantSteGradSource : public GradSource {
  public:
   QuantSteGradSource(const QuantizedModel& model, Module& shadow,
@@ -141,7 +144,7 @@ class QuantSteGradSource : public GradSource {
   const QuantizedModel& model_;
   Module& shadow_;
   std::string label_;
-  std::mutex mu_;
+  std::mutex mu_;  // guards prepared_ only
   int prepared_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "core/zoo.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
@@ -66,13 +68,31 @@ std::string ModelZoo::cache_path(const std::string& key) const {
 bool ModelZoo::try_load(const std::string& key, Sequential& model) const {
   const std::string path = cache_path(key);
   if (!std::filesystem::exists(path)) return false;
-  load_model_file(model, path);
+  try {
+    load_model_file(model, path);
+  } catch (const Error& e) {
+    // A bad file leaves the model untouched; rebuilding overwrites it.
+    log("cache file " + path + " is unreadable, rebuilding: " + e.what());
+    return false;
+  }
   model.set_training(false);
   return true;
 }
 
 void ModelZoo::store(const std::string& key, Sequential& model) const {
-  save_model_file(model, cache_path(key));
+  // Write a temp file beside the final path and rename it over: readers
+  // (other processes sharing the cache) see the old file or the whole
+  // new one, never a torn write.
+  const std::string path = cache_path(key);
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid());
+  try {
+    save_model_file(model, tmp);
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ class Relu : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  Tensor cached_input_;
+  PerThread<Tensor> input_;
 };
 
 /// ReLU6: y = min(6, max(0, x)) — the MobileNet activation, also friendly
@@ -27,7 +27,7 @@ class Relu6 : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  Tensor cached_input_;
+  PerThread<Tensor> input_;
 };
 
 /// Logistic sigmoid: y = 1 / (1 + exp(-x)).
@@ -38,7 +38,7 @@ class Sigmoid : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  Tensor cached_output_;
+  PerThread<Tensor> output_;
 };
 
 /// Hard sigmoid, TFLite convention: y = clamp(x / 6 + 0.5, 0, 1).
@@ -50,7 +50,7 @@ class HardSigmoid : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  Tensor cached_input_;
+  PerThread<Tensor> input_;
 };
 
 /// Leaky ReLU with fixed negative slope.
@@ -64,7 +64,7 @@ class LeakyRelu : public Module {
 
  private:
   float slope_;
-  Tensor cached_input_;
+  PerThread<Tensor> input_;
 };
 
 }  // namespace diva

@@ -5,7 +5,8 @@
 // running statistics, making the layer a per-channel affine transform —
 // which is what allows exact folding into a preceding convolution
 // (nn/fold_bn.h). Eval-mode backward is supported (input gradients are
-// needed when attacking eval-mode models).
+// needed when attacking eval-mode models); with parameter gradients off
+// it is the affine map alone.
 #pragma once
 
 #include <string>
@@ -38,11 +39,13 @@ class BatchNorm2d : public Module {
   Parameter gamma_, beta_;
   Parameter running_mean_, running_var_;  // buffers (trainable = false)
 
-  // Backward caches.
-  Tensor cached_xhat_;
-  std::vector<float> cached_inv_std_;
-  bool forward_was_training_ = false;
-  std::int64_t batch_ = 0, height_ = 0, width_ = 0;
+  // Backward caches, released when backward completes.
+  struct State {
+    Tensor xhat;                 // normalized input
+    std::vector<float> inv_std;  // per channel
+    bool training = false;       // forward normalized with batch statistics
+  };
+  PerThread<State> state_;
 };
 
 }  // namespace diva

@@ -64,17 +64,17 @@ DenseBranch::DenseBranch(std::string name, std::unique_ptr<Sequential> body)
 
 Tensor DenseBranch::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_channels_ = x.dim(1);
+  input_channels_.local() = x.dim(1);
   Tensor grown = body_->forward(x);
   return concat_channels(x, grown);
 }
 
 Tensor DenseBranch::backward(const Tensor& grad_out) {
-  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(1) > input_channels_,
+  const std::int64_t in_c = *input_channels_.take(name());
+  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(1) > in_c,
              name() << ": bad grad shape");
-  Tensor grad_passthrough = slice_channels(grad_out, 0, input_channels_);
-  Tensor grad_body =
-      slice_channels(grad_out, input_channels_, grad_out.dim(1));
+  Tensor grad_passthrough = slice_channels(grad_out, 0, in_c);
+  Tensor grad_body = slice_channels(grad_out, in_c, grad_out.dim(1));
   Tensor grad_x = body_->backward(grad_body);
   return add(grad_passthrough, grad_x);
 }

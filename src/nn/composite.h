@@ -44,7 +44,7 @@ class DenseBranch : public Module {
 
  private:
   std::unique_ptr<Sequential> body_;
-  std::int64_t input_channels_ = 0;
+  PerThread<std::int64_t> input_channels_;
 };
 
 }  // namespace diva

@@ -47,54 +47,62 @@ Tensor Conv2d::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4 && x.dim(1) == in_c_,
              name() << ": expected [N," << in_c_ << ",H,W], got "
                     << x.shape().str());
-  batch_ = x.dim(0);
-  geom_ = ConvGeom{in_c_, x.dim(2), x.dim(3), kernel_, kernel_, stride_, pad_};
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const std::int64_t batch = x.dim(0);
+  const ConvGeom geom{in_c_, x.dim(2), x.dim(3), kernel_, kernel_, stride_,
+                      pad_};
+  const std::int64_t oh = geom.out_h(), ow = geom.out_w();
   DIVA_CHECK(oh > 0 && ow > 0, name() << ": output collapses to zero size");
   const std::int64_t k2 = in_c_ * kernel_ * kernel_;
   const std::int64_t ohw = oh * ow;
 
-  weff_ = &effective_weight();  // [out_c, k2] once flattened row-major
+  State& s = state_.local();
+  s.batch = batch;
+  s.geom = geom;
+  s.weight = &effective_weight(s.scratch);  // [out_c, k2] once flattened
   // The input is only needed to recompute im2col panels for dW; frozen
   // models (attack mode) skip the copy entirely.
-  cached_input_ = param_grads_enabled() ? x : Tensor();
-  Tensor out(Shape{batch_, out_c_, oh, ow});
+  s.input = param_grads_enabled() ? x : Tensor();
+  Tensor out(Shape{batch, out_c_, oh, ow});
 
-  const std::int64_t in_stride = in_c_ * geom_.in_h * geom_.in_w;
+  const std::int64_t in_stride = in_c_ * geom.in_h * geom.in_w;
   const float* bias = with_bias_ ? bias_.value.raw() : nullptr;
-  parallel_for(0, batch_, [&](std::int64_t n) {
+  parallel_for(0, batch, [&](std::int64_t n) {
     auto frame = Workspace::tls().frame();
     float* cols = frame.alloc<float>(k2 * ohw);
-    im2col(x.raw() + n * in_stride, geom_, cols);
+    im2col(x.raw() + n * in_stride, geom, cols);
     // out_n[out_c, ohw] = W[out_c, k2] x cols[k2, ohw] + bias
-    sgemm(out_c_, ohw, k2, weff_->raw(), k2, false, cols, ohw, false,
+    sgemm(out_c_, ohw, k2, s.weight->raw(), k2, false, cols, ohw, false,
           out.raw() + n * out_c_ * ohw, ohw, {.bias_row = bias});
   });
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  DIVA_CHECK(weff_ != nullptr,
-             name() << ": backward without a preceding forward");
-  DIVA_CHECK(!param_grads_enabled() || !cached_input_.empty(),
+  // Taking the state releases the forward caches when backward returns,
+  // so attack loops don't carry per-layer buffers between iterations.
+  const auto s = state_.take(name());
+  DIVA_CHECK(!param_grads_enabled() || !s->input.empty(),
              name() << ": parameter gradients were enabled after a frozen "
                        "forward; rerun forward first");
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const ConvGeom& geom = s->geom;
+  const std::int64_t batch = s->batch;
+  const std::int64_t oh = geom.out_h(), ow = geom.out_w();
   const std::int64_t ohw = oh * ow;
   const std::int64_t k2 = in_c_ * kernel_ * kernel_;
-  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch_ &&
+  DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
                  grad_out.dim(1) == out_c_ && grad_out.dim(2) == oh &&
                  grad_out.dim(3) == ow,
              name() << ": bad grad shape " << grad_out.shape().str());
 
-  Tensor grad_in(Shape{batch_, in_c_, geom_.in_h, geom_.in_w});
-  const std::int64_t in_stride = in_c_ * geom_.in_h * geom_.in_w;
-  const float* wraw = weff_->raw();
+  Tensor grad_in(Shape{batch, in_c_, geom.in_h, geom.in_w});
+  const std::int64_t in_stride = in_c_ * geom.in_h * geom.in_w;
+  const float* wraw = s->weight->raw();
+  const float* input = s->input.raw();
 
   const bool want_param_grads = param_grads_enabled();
-  std::vector<Tensor> dw_parts(want_param_grads ? batch_ : 0);
-  std::vector<Tensor> db_parts(want_param_grads ? batch_ : 0);
-  parallel_for_chunked(0, batch_, [&](std::int64_t lo, std::int64_t hi) {
+  std::vector<Tensor> dw_parts(want_param_grads ? batch : 0);
+  std::vector<Tensor> db_parts(want_param_grads ? batch : 0);
+  parallel_for_chunked(0, batch, [&](std::int64_t lo, std::int64_t hi) {
     auto frame = Workspace::tls().frame();
     float* dcol = frame.alloc<float>(k2 * ohw);
     float* cols = want_param_grads ? frame.alloc<float>(k2 * ohw) : nullptr;
@@ -110,7 +118,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         // dW[out_c, k2] += gy[out_c, ohw] x colsT[ohw, k2]; the im2col
         // panels are recomputed from the cached input rather than
         // retained across the step.
-        im2col(cached_input_.raw() + n * in_stride, geom_, cols);
+        im2col(input + n * in_stride, geom, cols);
         sgemm(out_c_, k2, ohw, gy, ohw, false, cols, ohw, true, dw_local, k2,
               {.beta = 1.0f});
         for (std::int64_t oc = 0; oc < out_c_; ++oc) {
@@ -123,7 +131,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
       // dcol[k2, ohw] = WT[k2, out_c] x gy[out_c, ohw]; scatter to dX.
       sgemm(k2, ohw, out_c_, wraw, k2, true, gy, ohw, false, dcol, ohw, {});
-      col2im(dcol, geom_, grad_in.raw() + n * in_stride);
+      col2im(dcol, geom, grad_in.raw() + n * in_stride);
     }
 
     if (want_param_grads && with_bias_) {
@@ -133,11 +141,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   });
   add_in_chunk_order(dw_parts, weight_.grad);
   add_in_chunk_order(db_parts, bias_.grad);
-
-  // Step over: drop the forward caches so attack loops don't carry
-  // per-layer buffers between iterations.
-  cached_input_ = Tensor();
-  weff_ = nullptr;
   return grad_in;
 }
 
@@ -168,19 +171,21 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
              name() << ": expected [N," << channels_ << ",H,W], got "
                     << x.shape().str());
   const std::int64_t batch = x.dim(0);
-  geom_ = ConvGeom{channels_, x.dim(2), x.dim(3), kernel_, kernel_, stride_,
-                   pad_};
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const ConvGeom geom{channels_, x.dim(2), x.dim(3), kernel_, kernel_,
+                      stride_, pad_};
+  const std::int64_t oh = geom.out_h(), ow = geom.out_w();
   DIVA_CHECK(oh > 0 && ow > 0, name() << ": output collapses to zero size");
 
-  cached_input_ = param_grads_enabled() ? x : Tensor();
-  weff_ = &effective_weight();
+  State& s = state_.local();
+  s.geom = geom;
+  s.input = param_grads_enabled() ? x : Tensor();
+  s.weight = &effective_weight(s.scratch);
   Tensor out(Shape{batch, channels_, oh, ow});
 
   parallel_for(0, batch * channels_, [&](std::int64_t nc) {
     const std::int64_t n = nc / channels_, c = nc % channels_;
-    const float* in = x.raw() + (n * channels_ + c) * geom_.in_h * geom_.in_w;
-    const float* w = weff_->raw() + c * kernel_ * kernel_;
+    const float* in = x.raw() + (n * channels_ + c) * geom.in_h * geom.in_w;
+    const float* w = s.weight->raw() + c * kernel_ * kernel_;
     float* o = out.raw() + (n * channels_ + c) * oh * ow;
     const float b = with_bias_ ? bias_.value[c] : 0.0f;
     for (std::int64_t y = 0; y < oh; ++y) {
@@ -188,11 +193,11 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
         float acc = b;
         for (std::int64_t kh = 0; kh < kernel_; ++kh) {
           const std::int64_t iy = y * stride_ - pad_ + kh;
-          if (iy < 0 || iy >= geom_.in_h) continue;
+          if (iy < 0 || iy >= geom.in_h) continue;
           for (std::int64_t kw = 0; kw < kernel_; ++kw) {
             const std::int64_t ix = xo * stride_ - pad_ + kw;
-            if (ix < 0 || ix >= geom_.in_w) continue;
-            acc += w[kh * kernel_ + kw] * in[iy * geom_.in_w + ix];
+            if (ix < 0 || ix >= geom.in_w) continue;
+            acc += w[kh * kernel_ + kw] * in[iy * geom.in_w + ix];
           }
         }
         o[y * ow + xo] = acc;
@@ -203,22 +208,24 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
 }
 
 Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
-  DIVA_CHECK(weff_ != nullptr,
-             name() << ": backward without a preceding forward");
+  const auto s = state_.take(name());
   const bool want_param_grads = param_grads_enabled();
-  DIVA_CHECK(!want_param_grads || !cached_input_.empty(),
+  DIVA_CHECK(!want_param_grads || !s->input.empty(),
              name() << ": parameter gradients were enabled after a frozen "
                        "forward; rerun forward first");
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const ConvGeom& geom = s->geom;
+  const std::int64_t oh = geom.out_h(), ow = geom.out_w();
   DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == channels_ &&
                  grad_out.dim(2) == oh && grad_out.dim(3) == ow,
              name() << ": bad grad shape " << grad_out.shape().str());
   const std::int64_t batch = grad_out.dim(0);
-  DIVA_CHECK(!want_param_grads || cached_input_.dim(0) == batch,
+  DIVA_CHECK(!want_param_grads || s->input.dim(0) == batch,
              name() << ": grad batch " << batch << " != forward batch "
-                    << cached_input_.dim(0));
+                    << s->input.dim(0));
 
-  Tensor grad_in(Shape{batch, channels_, geom_.in_h, geom_.in_w});
+  Tensor grad_in(Shape{batch, channels_, geom.in_h, geom.in_w});
+  const float* weights = s->weight->raw();
+  const float* input = s->input.raw();
   std::vector<Tensor> dw_parts(want_param_grads ? batch : 0);
   std::vector<Tensor> db_parts(want_param_grads ? batch : 0);
   parallel_for_chunked(0, batch, [&](std::int64_t lo, std::int64_t hi) {
@@ -228,14 +235,14 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
     }
     for (std::int64_t n = lo; n < hi; ++n) {
       for (std::int64_t c = 0; c < channels_; ++c) {
-        const float* in = want_param_grads
-                              ? cached_input_.raw() +
-                                    (n * channels_ + c) * geom_.in_h * geom_.in_w
-                              : nullptr;
+        const float* in =
+            want_param_grads
+                ? input + (n * channels_ + c) * geom.in_h * geom.in_w
+                : nullptr;
         const float* gy = grad_out.raw() + (n * channels_ + c) * oh * ow;
-        const float* w = weff_->raw() + c * kernel_ * kernel_;
+        const float* w = weights + c * kernel_ * kernel_;
         float* gi =
-            grad_in.raw() + (n * channels_ + c) * geom_.in_h * geom_.in_w;
+            grad_in.raw() + (n * channels_ + c) * geom.in_h * geom.in_w;
         float* dw = want_param_grads
                         ? dw_parts[lo].raw() + c * kernel_ * kernel_
                         : nullptr;
@@ -247,14 +254,14 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
             bsum += g;
             for (std::int64_t kh = 0; kh < kernel_; ++kh) {
               const std::int64_t iy = y * stride_ - pad_ + kh;
-              if (iy < 0 || iy >= geom_.in_h) continue;
+              if (iy < 0 || iy >= geom.in_h) continue;
               for (std::int64_t kw = 0; kw < kernel_; ++kw) {
                 const std::int64_t ix = xo * stride_ - pad_ + kw;
-                if (ix < 0 || ix >= geom_.in_w) continue;
+                if (ix < 0 || ix >= geom.in_w) continue;
                 if (want_param_grads) {
-                  dw[kh * kernel_ + kw] += g * in[iy * geom_.in_w + ix];
+                  dw[kh * kernel_ + kw] += g * in[iy * geom.in_w + ix];
                 }
-                gi[iy * geom_.in_w + ix] += g * w[kh * kernel_ + kw];
+                gi[iy * geom.in_w + ix] += g * w[kh * kernel_ + kw];
               }
             }
           }
@@ -265,9 +272,6 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   });
   add_in_chunk_order(dw_parts, weight_.grad);
   if (with_bias_) add_in_chunk_order(db_parts, bias_.grad);
-
-  cached_input_ = Tensor();
-  weff_ = nullptr;
   return grad_in;
 }
 

@@ -12,7 +12,8 @@
 // The `effective_weight()` hook lets quantization-aware subclasses
 // (quant/QatConv2d) substitute fake-quantized weights while reusing all
 // of the forward/backward machinery — gradients then flow to the float
-// master weights via the straight-through estimator.
+// master weights via the straight-through estimator. The substitute
+// lives in the calling thread's forward state, like every other cache.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +47,13 @@ class Conv2d : public Module {
   std::int64_t pad() const { return pad_; }
 
  protected:
-  /// Weights used by forward/backward. Subclasses may return a
-  /// transformed (e.g. fake-quantized) tensor; gradients accumulate to
-  /// the master weight() regardless (straight-through estimator).
-  virtual const Tensor& effective_weight() { return weight_.value; }
+  /// Weights used by one forward/backward pair. Subclasses may build a
+  /// transformed (e.g. fake-quantized) tensor in `scratch`, which lives
+  /// until the pair's backward ends, and return it; gradients accumulate
+  /// to the master weight() regardless (straight-through estimator).
+  virtual const Tensor& effective_weight(Tensor& /*scratch*/) {
+    return weight_.value;
+  }
 
  private:
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
@@ -57,11 +61,15 @@ class Conv2d : public Module {
   Parameter weight_;  // [out_c, in_c, k, k]
   Parameter bias_;    // [out_c]
 
-  // Cached state for backward; released when backward completes.
-  Tensor cached_input_;          // forward input (for the dW im2col)
-  const Tensor* weff_ = nullptr; // weights used by the last forward
-  ConvGeom geom_;
-  std::int64_t batch_ = 0;
+  // Forward state for backward; released when backward completes.
+  struct State {
+    Tensor input;                    // forward input (for the dW im2col)
+    Tensor scratch;                  // effective_weight() storage
+    const Tensor* weight = nullptr;  // weights the forward used
+    ConvGeom geom;
+    std::int64_t batch = 0;
+  };
+  PerThread<State> state_;
 };
 
 /// Depthwise convolution: one k x k filter per channel (multiplier 1).
@@ -85,7 +93,10 @@ class DepthwiseConv2d : public Module {
   std::int64_t pad() const { return pad_; }
 
  protected:
-  virtual const Tensor& effective_weight() { return weight_.value; }
+  /// See Conv2d::effective_weight.
+  virtual const Tensor& effective_weight(Tensor& /*scratch*/) {
+    return weight_.value;
+  }
 
  private:
   std::int64_t channels_, kernel_, stride_, pad_;
@@ -94,9 +105,13 @@ class DepthwiseConv2d : public Module {
   Parameter bias_;    // [C]
 
   // Released when backward completes.
-  Tensor cached_input_;
-  const Tensor* weff_ = nullptr;
-  ConvGeom geom_;
+  struct State {
+    Tensor input;
+    Tensor scratch;
+    const Tensor* weight = nullptr;
+    ConvGeom geom;
+  };
+  PerThread<State> state_;
 };
 
 }  // namespace diva

@@ -26,22 +26,22 @@ Tensor Dense::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 2 && x.dim(1) == in_f_,
              name() << ": expected [N," << in_f_ << "], got "
                     << x.shape().str());
+  State& s = state_.local();
   // The input is only needed for dW; frozen models skip the copy.
-  cached_input_ = param_grads_enabled() ? x : Tensor();
-  weff_ = &effective_weight();
+  s.input = param_grads_enabled() ? x : Tensor();
+  s.weight = &effective_weight(s.scratch);
   const std::int64_t n = x.dim(0);
   Tensor out(Shape{n, out_f_});
   // out[N, out_f] = x[N, in_f] x W[in_f, out_f] + bias (per column).
-  sgemm(n, out_f_, in_f_, x.raw(), in_f_, false, weff_->raw(), out_f_, false,
-        out.raw(), out_f_,
+  sgemm(n, out_f_, in_f_, x.raw(), in_f_, false, s.weight->raw(), out_f_,
+        false, out.raw(), out_f_,
         {.bias_col = with_bias_ ? bias_.value.raw() : nullptr});
   return out;
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {
-  DIVA_CHECK(weff_ != nullptr,
-             name() << ": backward without a preceding forward");
-  DIVA_CHECK(!param_grads_enabled() || !cached_input_.empty(),
+  const auto s = state_.take(name());
+  DIVA_CHECK(!param_grads_enabled() || !s->input.empty(),
              name() << ": parameter gradients were enabled after a frozen "
                        "forward; rerun forward first");
   DIVA_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_f_,
@@ -50,7 +50,7 @@ Tensor Dense::backward(const Tensor& grad_out) {
   // dW += XT dY ; db += colsum(dY) ; dX = dY WT — transposes are
   // handled inside sgemm packing, nothing is materialized.
   if (param_grads_enabled()) {
-    sgemm(in_f_, out_f_, n, cached_input_.raw(), in_f_, true, grad_out.raw(),
+    sgemm(in_f_, out_f_, n, s->input.raw(), in_f_, true, grad_out.raw(),
           out_f_, false, weight_.grad.raw(), out_f_, {.beta = 1.0f});
     if (with_bias_) {
       for (std::int64_t i = 0; i < n; ++i) {
@@ -60,11 +60,8 @@ Tensor Dense::backward(const Tensor& grad_out) {
     }
   }
   Tensor grad_in(Shape{n, in_f_});
-  sgemm(n, in_f_, out_f_, grad_out.raw(), out_f_, false, weff_->raw(), out_f_,
-        true, grad_in.raw(), in_f_, {});
-
-  cached_input_ = Tensor();
-  weff_ = nullptr;
+  sgemm(n, in_f_, out_f_, grad_out.raw(), out_f_, false, s->weight->raw(),
+        out_f_, true, grad_in.raw(), in_f_, {});
   return grad_in;
 }
 

@@ -28,7 +28,9 @@ class Dense : public Module {
 
  protected:
   /// See Conv2d::effective_weight — hook for fake-quantized weights.
-  virtual const Tensor& effective_weight() { return weight_.value; }
+  virtual const Tensor& effective_weight(Tensor& /*scratch*/) {
+    return weight_.value;
+  }
 
  private:
   std::int64_t in_f_, out_f_;
@@ -37,8 +39,12 @@ class Dense : public Module {
   Parameter bias_;    // [out_f]
 
   // Released when backward completes.
-  Tensor cached_input_;
-  const Tensor* weff_ = nullptr;
+  struct State {
+    Tensor input;
+    Tensor scratch;
+    const Tensor* weight = nullptr;
+  };
+  PerThread<State> state_;
 };
 
 }  // namespace diva

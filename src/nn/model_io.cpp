@@ -21,6 +21,10 @@ void load_model(Module& m, std::istream& is) {
   DIVA_CHECK(count == static_cast<std::int64_t>(params.size()),
              "checkpoint has " << count << " params, model has "
                                << params.size());
+  // Read and check everything before touching the model, so a corrupt
+  // checkpoint leaves it as it was.
+  std::vector<Tensor> values;
+  values.reserve(params.size());
   for (auto& np : params) {
     const std::string name = read_string(is);
     DIVA_CHECK(name == np.name,
@@ -31,7 +35,10 @@ void load_model(Module& m, std::istream& is) {
                "shape mismatch for " << name << ": " << t.shape().str()
                                      << " vs "
                                      << np.param->value.shape().str());
-    np.param->value = std::move(t);
+    values.push_back(std::move(t));
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    params[i].param->value = std::move(values[i]);
   }
 }
 
@@ -39,6 +46,8 @@ void save_model_file(Module& m, const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   DIVA_CHECK(os.good(), "cannot open for write: " << path);
   save_model(m, os);
+  os.close();
+  DIVA_CHECK(!os.fail(), "write failed: " << path);
 }
 
 void load_model_file(Module& m, const std::string& path) {

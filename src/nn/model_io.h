@@ -12,6 +12,8 @@
 namespace diva {
 
 void save_model(Module& m, std::ostream& os);
+/// Throws diva::Error on a corrupt or mismatched checkpoint, leaving the
+/// model's parameters unchanged.
 void load_model(Module& m, std::istream& is);
 
 /// File variants; create parent directories before calling.

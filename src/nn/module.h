@@ -1,20 +1,30 @@
 // Module: the layer abstraction of the NN substrate.
 //
-// Modules are stateful layers in the classic Caffe style: forward()
-// caches whatever backward() needs; backward() receives the gradient
-// with respect to the module output and returns the gradient with
-// respect to the module input, accumulating parameter gradients along
-// the way. Exactly one forward/backward pair may be in flight per
-// module (no re-entrancy), which is all the training loops and attack
-// loops in this library require.
+// forward() computes the layer output and leaves whatever backward()
+// needs; backward() receives the gradient with respect to the module
+// output and returns the gradient with respect to the module input,
+// accumulating parameter gradients along the way.
+//
+// Modules are reentrant: each thread may have one forward/backward pair
+// in flight on the same module at once. A layer keeps its forward caches
+// in a PerThread slot keyed by the calling thread, and backward() takes
+// that slot back out, so a pair must run forward and backward on the
+// same thread (input_grad and the training loops do). Parameters and
+// the training/param-grads flags stay shared: training-mode forwards
+// update running statistics and backward accumulates parameter
+// gradients without synchronization, so concurrent pairs must run in
+// eval mode with parameter gradients off (attack mode).
 //
 // Both training-mode and eval-mode backward are supported; adversarial
 // attacks differentiate eval-mode networks with respect to their input.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,6 +51,39 @@ struct NamedParameter {
   Parameter* param = nullptr;
 };
 
+/// One T per thread: a module's forward-to-backward state. forward()
+/// fills the calling thread's slot via local(); backward() on the same
+/// thread removes it via take(), so a finished pair leaves nothing
+/// behind, not even for a thread that has since exited.
+template <typename T>
+class PerThread {
+ public:
+  /// The calling thread's slot, default-constructed on first use. The
+  /// reference stays valid until this thread calls take().
+  T& local() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_ptr<T>& slot = slots_[std::this_thread::get_id()];
+    if (!slot) slot = std::make_unique<T>();
+    return *slot;
+  }
+
+  /// Removes and returns the calling thread's slot; `owner` names the
+  /// module in the error thrown when this thread ran no forward.
+  std::unique_ptr<T> take(const std::string& owner) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = slots_.find(std::this_thread::get_id());
+    DIVA_CHECK(it != slots_.end(),
+               owner << ": backward without a preceding forward");
+    std::unique_ptr<T> out = std::move(it->second);
+    slots_.erase(it);
+    return out;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::thread::id, std::unique_ptr<T>> slots_;
+};
+
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
@@ -49,7 +92,7 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Computes the layer output. Caches state for backward().
+  /// Computes the layer output. Caches state for this thread's backward().
   virtual Tensor forward(const Tensor& x) = 0;
 
   /// Propagates gradients: takes d(loss)/d(output), returns

@@ -15,14 +15,16 @@ MaxPool2d::MaxPool2d(std::string name, std::int64_t kernel,
 
 Tensor MaxPool2d::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_shape_ = x.shape();
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = (h + 2 * pad_ - kernel_) / stride_ + 1;
   const std::int64_t ow = (w + 2 * pad_ - kernel_) / stride_ + 1;
   DIVA_CHECK(oh > 0 && ow > 0, name() << ": output collapses");
-  output_shape_ = Shape{n, c, oh, ow};
-  Tensor out(output_shape_);
-  argmax_.assign(static_cast<std::size_t>(out.numel()), -1);
+  State& s = state_.local();
+  s.input_shape = x.shape();
+  s.output_shape = Shape{n, c, oh, ow};
+  Tensor out(s.output_shape);
+  std::vector<std::int64_t>& argmax = s.argmax;
+  argmax.assign(static_cast<std::size_t>(out.numel()), -1);
 
   std::int64_t oi = 0;
   for (std::int64_t ni = 0; ni < n; ++ni) {
@@ -47,7 +49,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
             }
           }
           out[oi] = best_idx >= 0 ? best : 0.0f;
-          argmax_[static_cast<std::size_t>(oi)] = best_idx;
+          argmax[static_cast<std::size_t>(oi)] = best_idx;
         }
       }
     }
@@ -56,16 +58,16 @@ Tensor MaxPool2d::forward(const Tensor& x) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  DIVA_CHECK(!argmax_.empty(), name() << ": backward without a preceding forward");
-  DIVA_CHECK(grad_out.shape() == output_shape_, name() << ": bad grad shape");
-  Tensor grad_in(input_shape_);
+  // Taking the state releases the argmax cache (one int64 per output
+  // element) so attack loops don't hold it across steps.
+  const auto s = state_.take(name());
+  DIVA_CHECK(grad_out.shape() == s->output_shape,
+             name() << ": bad grad shape");
+  Tensor grad_in(s->input_shape);
   for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
-    const std::int64_t idx = argmax_[static_cast<std::size_t>(i)];
+    const std::int64_t idx = s->argmax[static_cast<std::size_t>(i)];
     if (idx >= 0) grad_in[idx] += grad_out[i];
   }
-  // Release the argmax cache (one int64 per output element) so attack
-  // loops don't hold it across steps.
-  std::vector<std::int64_t>().swap(argmax_);
   return grad_in;
 }
 
@@ -79,10 +81,11 @@ AvgPool2d::AvgPool2d(std::string name, std::int64_t kernel,
 
 Tensor AvgPool2d::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_shape_ = x.shape();
-  geom_ = ConvGeom{x.dim(1), x.dim(2), x.dim(3), kernel_, kernel_, stride_, 0};
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const ConvGeom geom{x.dim(1), x.dim(2), x.dim(3), kernel_, kernel_, stride_,
+                      0};
+  const std::int64_t oh = geom.out_h(), ow = geom.out_w();
   DIVA_CHECK(oh > 0 && ow > 0, name() << ": output collapses");
+  input_shape_.local() = x.shape();
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor out(Shape{n, c, oh, ow});
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
@@ -108,13 +111,15 @@ Tensor AvgPool2d::forward(const Tensor& x) {
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const Shape in_shape = *input_shape_.take(name());
+  const std::int64_t n = in_shape[0], c = in_shape[1], h = in_shape[2],
+                     w = in_shape[3];
+  const ConvGeom geom{c, h, w, kernel_, kernel_, stride_, 0};
+  const std::int64_t oh = geom.out_h(), ow = geom.out_w();
   DIVA_CHECK(grad_out.rank() == 4 && grad_out.dim(2) == oh &&
                  grad_out.dim(3) == ow,
              name() << ": bad grad shape");
-  Tensor grad_in(input_shape_);
-  const std::int64_t n = input_shape_[0], c = input_shape_[1],
-                     h = input_shape_[2], w = input_shape_[3];
+  Tensor grad_in(in_shape);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   for (std::int64_t ni = 0; ni < n; ++ni) {
     for (std::int64_t ci = 0; ci < c; ++ci) {
@@ -137,7 +142,7 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
 
 Tensor GlobalAvgPool::forward(const Tensor& x) {
   DIVA_CHECK(x.rank() == 4, name() << ": expected NCHW");
-  input_shape_ = x.shape();
+  input_shape_.local() = x.shape();
   const std::int64_t n = x.dim(0), c = x.dim(1);
   const std::int64_t hw = x.dim(2) * x.dim(3);
   Tensor out(Shape{n, c});
@@ -154,12 +159,13 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  DIVA_CHECK(grad_out.rank() == 2 && grad_out.dim(0) == input_shape_[0] &&
-                 grad_out.dim(1) == input_shape_[1],
+  const Shape in_shape = *input_shape_.take(name());
+  DIVA_CHECK(grad_out.rank() == 2 && grad_out.dim(0) == in_shape[0] &&
+                 grad_out.dim(1) == in_shape[1],
              name() << ": bad grad shape");
-  Tensor grad_in(input_shape_);
-  const std::int64_t n = input_shape_[0], c = input_shape_[1];
-  const std::int64_t hw = input_shape_[2] * input_shape_[3];
+  Tensor grad_in(in_shape);
+  const std::int64_t n = in_shape[0], c = in_shape[1];
+  const std::int64_t hw = in_shape[2] * in_shape[3];
   const float inv = 1.0f / static_cast<float>(hw);
   for (std::int64_t ni = 0; ni < n; ++ni) {
     for (std::int64_t ci = 0; ci < c; ++ci) {

@@ -24,9 +24,12 @@ class MaxPool2d : public Module {
 
  private:
   std::int64_t kernel_, stride_, pad_;
-  std::vector<std::int64_t> argmax_;  // flat input index per output element
-  Shape input_shape_;
-  Shape output_shape_;
+  struct State {
+    std::vector<std::int64_t> argmax;  // flat input index per output element
+    Shape input_shape;
+    Shape output_shape;
+  };
+  PerThread<State> state_;
 };
 
 /// Average pooling with square window (zero padding contributes zeros but
@@ -43,8 +46,7 @@ class AvgPool2d : public Module {
 
  private:
   std::int64_t kernel_, stride_;
-  Shape input_shape_;
-  ConvGeom geom_;
+  PerThread<Shape> input_shape_;
 };
 
 /// Global average pooling: [N,C,H,W] -> [N,C].
@@ -56,7 +58,7 @@ class GlobalAvgPool : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  Shape input_shape_;
+  PerThread<Shape> input_shape_;
 };
 
 }  // namespace diva

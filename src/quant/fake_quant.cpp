@@ -72,30 +72,30 @@ Tensor ActFakeQuant::forward(const Tensor& x) {
     }
   }
 
+  Tensor& mask = pass_mask_.local();
   if (!initialized() || !quantize_enabled_) {
-    forward_quantized_ = false;
+    mask = Tensor();
     return x;
   }
 
-  forward_quantized_ = true;
   const QuantParams qp = qparams();
   // Representable real range for the STE clipping mask.
   const float lo = (static_cast<float>(kQmin) - qp.zero_point) * qp.scale;
   const float hi = (static_cast<float>(kQmax) - qp.zero_point) * qp.scale;
-  cached_pass_mask_ = Tensor(x.shape());
+  mask = Tensor(x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) {
-    cached_pass_mask_[i] = (x[i] >= lo && x[i] <= hi) ? 1.0f : 0.0f;
+    mask[i] = (x[i] >= lo && x[i] <= hi) ? 1.0f : 0.0f;
   }
   return fake_quantize(x, qp);
 }
 
 Tensor ActFakeQuant::backward(const Tensor& grad_out) {
-  if (!forward_quantized_) return grad_out;
-  DIVA_CHECK(grad_out.shape() == cached_pass_mask_.shape(),
-             name() << ": bad grad shape");
+  const auto mask = pass_mask_.take(name());
+  if (mask->empty()) return grad_out;
+  DIVA_CHECK(grad_out.shape() == mask->shape(), name() << ": bad grad shape");
   Tensor grad_in(grad_out.shape());
   for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
-    grad_in[i] = grad_out[i] * cached_pass_mask_[i];
+    grad_in[i] = grad_out[i] * (*mask)[i];
   }
   return grad_in;
 }

@@ -61,8 +61,9 @@ class ActFakeQuant : public Module {
   bool quantize_enabled_ = true;
   // Buffer {min, max, initialized-flag}; persisted with checkpoints.
   Parameter range_;
-  Tensor cached_pass_mask_;  // 1 where gradient passes (STE clipping)
-  bool forward_quantized_ = false;
+  // STE clipping mask of the forward: 1 where the gradient passes. Empty
+  // when the forward passed its input through unquantized.
+  PerThread<Tensor> pass_mask_;
 };
 
 }  // namespace diva

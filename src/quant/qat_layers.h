@@ -8,7 +8,10 @@
 //
 // The current per-channel scales are recomputed from the master weights
 // on every forward, and are exposed for the int8 converter so that the
-// deployed integer model uses bit-identical weight quantization.
+// deployed integer model uses bit-identical weight quantization. The
+// fake-quantized weights live in the calling thread's forward state (the
+// base layer's `scratch`), so concurrent forward/backward pairs never
+// share them.
 #pragma once
 
 #include <string>
@@ -37,10 +40,9 @@ class QatConv2d : public Conv2d {
   std::vector<float> effective_scales();
 
  protected:
-  const Tensor& effective_weight() override;
+  const Tensor& effective_weight(Tensor& scratch) override;
 
  private:
-  Tensor fq_weight_;
   bool per_tensor_ = false;
 };
 
@@ -54,10 +56,7 @@ class QatDepthwiseConv2d : public DepthwiseConv2d {
   }
 
  protected:
-  const Tensor& effective_weight() override;
-
- private:
-  Tensor fq_weight_;
+  const Tensor& effective_weight(Tensor& scratch) override;
 };
 
 class QatDense : public Dense {
@@ -69,10 +68,7 @@ class QatDense : public Dense {
   std::vector<float> weight_scales() const;
 
  protected:
-  const Tensor& effective_weight() override;
-
- private:
-  Tensor fq_weight_;
+  const Tensor& effective_weight(Tensor& scratch) override;
 };
 
 }  // namespace diva

@@ -197,8 +197,8 @@ void run_worker(int fd, const scenario::ModelPool& pool,
       run_tasks(threads.get(), static_cast<std::int64_t>(states.size()),
                 perturb_job);
 
-      // Phase 2 — score verdicts sequentially (module forwards are
-      // stateful) and stream each job's result frame.
+      // Phase 2 — score verdicts sequentially, in job order, and stream
+      // each job's result frame.
       ModelFn orig_fn, deployed_fn;
       for (WorkerJobState& st : states) {
         JobResult result;

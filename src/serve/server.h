@@ -53,9 +53,8 @@ struct ServeConfig {
   /// AF_UNIX socket path the front-end listens on (required; unlinked
   /// on bind and on stop).
   std::string socket_path;
-  /// Worker processes. Each owns its own model copies (fork) — this is
-  /// the sharding axis that scales past the mutex-serialized backprop
-  /// limit of a single process.
+  /// Worker processes. Each owns its own model copies (fork) and its
+  /// own thread pool; workers and worker_threads multiply.
   unsigned workers = 2;
   /// Threads in each worker's pool. A batch's jobs that share one
   /// attack run in parallel through run_tasks(), exactly like

@@ -3,7 +3,10 @@
 // quantized-model gradient sources (STE and finite differences).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <memory>
+#include <thread>
 
 #include "attack/engine.h"
 #include "attack/probe_compression.h"
@@ -12,8 +15,14 @@
 #include "data/synth_digits.h"
 #include "metrics/metrics.h"
 #include "models/factory.h"
+#include "nn/activations.h"
+#include "nn/conv.h"
+#include "nn/dense.h"
+#include "nn/flatten.h"
 #include "nn/fold_bn.h"
 #include "nn/init.h"
+#include "nn/pooling.h"
+#include "quant/fake_quant.h"
 #include "quant/qat.h"
 #include "quant/quantized_model.h"
 #include "test_helpers.h"
@@ -245,10 +254,10 @@ TEST(AttackEngine2, ShardedEqualsSequentialAcrossThreadCounts) {
 }
 
 TEST(AttackEngine2, FdSourceShardedEqualsSequentialUpTo16Threads) {
-  // Derivative-free sources run probe batches fully concurrently (no
-  // module mutex), so thread counts beyond the shard count genuinely
-  // interleave — the SPSA streams keyed on (seed, global sample, step)
-  // must still reproduce the sequential result bit-for-bit.
+  // Derivative-free sources run probe batches fully concurrently, so
+  // thread counts beyond the shard count genuinely interleave — the
+  // SPSA streams keyed on (seed, global sample, step) must still
+  // reproduce the sequential result bit-for-bit.
   auto& f = fixture();
   const Dataset eval = small_eval(8);
   AttackSpec spec = quick_spec(2);
@@ -487,6 +496,120 @@ TEST(QuantTarget, SteLogitsComeFromIntegerModel) {
   auto ste = source(*f.quantized, *f.qat);
   const Tensor expected = f.quantized->forward(eval.images);
   EXPECT_EQ(max_abs(sub(ste->logits(eval.images), expected)), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent backprop through shared modules.
+// ---------------------------------------------------------------------------
+
+/// Conv -> max-pool -> flatten -> dense: the module classes the zoo
+/// architectures do not use.
+std::unique_ptr<Sequential> make_pool_flatten_net() {
+  auto net = std::make_unique<Sequential>("poolflat");
+  net->emplace<Conv2d>("conv", 3, 4, 3, 1, 1);
+  net->emplace<Relu>("relu");
+  net->emplace<MaxPool2d>("pool", 2);
+  net->emplace<Flatten>("flatten");
+  net->emplace<Dense>("fc", 4 * 16 * 16, 5);
+  return net;
+}
+
+struct NamedNet {
+  std::string name;
+  std::unique_ptr<Sequential> net;
+  bool qat = false;
+};
+
+/// Untrained float and QAT nets that together hold every module class.
+/// QAT activation ranges are set by hand, so the quantized path (with
+/// its clipping mask) runs.
+std::vector<NamedNet> concurrency_nets() {
+  std::vector<NamedNet> nets;
+  const std::pair<const char*, Arch> archs[] = {
+      {"resnet", Arch::kResNet},
+      {"mobilenet", Arch::kMobileNet},
+      {"densenet", Arch::kDenseNet}};
+  for (const auto& [name, arch] : archs) {
+    nets.push_back({std::string(name), make_model(arch, 6, NetMode::kFloat)});
+    nets.push_back({std::string(name) + "-qat",
+                    make_model(arch, 6, NetMode::kQat), true});
+  }
+  nets.push_back({"edge", make_edge_residual_net(6, NetMode::kFloat, 3)});
+  nets.push_back(
+      {"edge-qat", make_edge_residual_net(6, NetMode::kQat, 3), true});
+  nets.push_back({"poolflat", make_pool_flatten_net()});
+  std::uint64_t seed = 90;
+  for (NamedNet& n : nets) {
+    init_parameters(*n.net, seed++);
+    n.net->visit([](Module& m) {
+      if (auto* fq = dynamic_cast<ActFakeQuant*>(&m)) {
+        fq->set_range(-1.0f, 2.0f);
+      }
+    });
+    n.net->set_training(false);
+  }
+  return nets;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), sizeof(float) * a.numel()) == 0;
+}
+
+/// Calls `src.input_grad` on `inputs` from `threads` threads at once for
+/// `rounds` rounds and returns how many results differ in any byte from
+/// the same call run serially.
+int concurrent_mismatches(GradSource& src, const std::vector<Tensor>& inputs,
+                          int threads, int rounds) {
+  GradRequest req;
+  // Gradient of 0.5 * ||logits||^2, so each result depends on the forward.
+  req.dlogits = [](const Tensor& logits) { return logits; };
+  src.prepare();  // attack mode: eval, parameter gradients off
+  std::vector<Tensor> serial;
+  for (const Tensor& x : inputs) serial.push_back(src.input_grad(x, req));
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (int r = 0; r < rounds; ++r) {
+        const std::size_t i =
+            static_cast<std::size_t>(t + r) % inputs.size();
+        if (!same_bytes(src.input_grad(inputs[i], req), serial[i])) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  src.restore();
+  return mismatches.load();
+}
+
+TEST(ConcurrentBackprop, SharedModuleSourceMatchesSerialBytes) {
+  std::vector<Tensor> inputs;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    inputs.push_back(
+        testing::random_tensor(Shape{1, 3, 32, 32}, 700 + i, 0.0f, 1.0f));
+  }
+  for (NamedNet& n : concurrency_nets()) {
+    ModuleGradSource src(*n.net);
+    EXPECT_EQ(concurrent_mismatches(src, inputs, 4, 20), 0) << n.name;
+  }
+}
+
+TEST(ConcurrentBackprop, SharedSteSourceMatchesSerialBytes) {
+  std::vector<Tensor> inputs;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    inputs.push_back(
+        testing::random_tensor(Shape{1, 3, 32, 32}, 800 + i, 0.0f, 1.0f));
+  }
+  for (NamedNet& n : concurrency_nets()) {
+    if (!n.qat) continue;
+    const QuantizedModel q = QuantizedModel::compile(*n.net, Shape{3, 32, 32});
+    QuantSteGradSource src(q, *n.net);
+    EXPECT_EQ(concurrent_mismatches(src, inputs, 4, 20), 0) << n.name;
+  }
 }
 
 }  // namespace

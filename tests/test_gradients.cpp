@@ -100,6 +100,32 @@ TEST(Gradients, BatchNormEvalMode) {
   }
 }
 
+TEST(Gradients, BatchNormFrozenEvalBackwardLeavesParamGradsAlone) {
+  // Attack mode (eval, parameter gradients off) must propagate the input
+  // gradient only: gamma/beta gradients stay untouched, and the input
+  // gradient is the same as with parameter gradients on.
+  BatchNorm2d bn("bn", 3);
+  Rng rng(34);
+  bn.gamma().value.fill_uniform(rng, 0.5f, 1.5f);
+  bn.running_mean().value.fill_uniform(rng, -0.3f, 0.3f);
+  bn.running_var().value.fill_uniform(rng, 0.5f, 1.5f);
+  bn.set_training(false);
+  const Tensor x = random_tensor(Shape{2, 3, 4, 4}, 35);
+  const Tensor probe = random_tensor(Shape{2, 3, 4, 4}, 36);
+
+  (void)bn.forward(x);
+  const Tensor dx_full = bn.backward(probe);
+
+  bn.zero_grad();
+  bn.set_param_grads_enabled(false);
+  (void)bn.forward(x);
+  const Tensor dx_frozen = bn.backward(probe);
+  EXPECT_EQ(max_abs(bn.gamma().grad), 0.0f);
+  EXPECT_EQ(max_abs(bn.beta().grad), 0.0f);
+  EXPECT_GT(max_abs(dx_frozen), 0.0f);
+  EXPECT_EQ(max_abs(sub(dx_full, dx_frozen)), 0.0f);
+}
+
 TEST(Gradients, ReluFamily) {
   Relu relu("r");
   check_gradients(relu, random_tensor(Shape{2, 3, 4, 4}, 28), 29);

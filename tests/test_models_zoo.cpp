@@ -147,6 +147,50 @@ TEST(Zoo, CacheRoundTripSkipsRetraining) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Zoo, CorruptCacheFileIsRebuilt) {
+  const std::string dir = ::testing::TempDir() + "/diva_zoo_corrupt_test";
+  std::filesystem::remove_all(dir);
+
+  ZooConfig cfg;
+  cfg.cache_dir = dir;
+  cfg.verbose = false;
+  cfg.num_classes = 4;
+  cfg.train_per_class = 8;
+  cfg.val_per_class = 4;
+  cfg.float_epochs = 1;
+
+  Tensor fresh;
+  {
+    ModelZoo zoo(cfg);
+    fresh = zoo.original(Arch::kResNet).forward(zoo.val_set().images);
+  }
+  // Exactly one cache file, and no temp file left beside it.
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    files.push_back(e.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  const auto full_size = std::filesystem::file_size(files[0]);
+  std::filesystem::resize_file(files[0], full_size / 2);
+
+  {
+    ModelZoo zoo(cfg);  // must rebuild instead of throwing
+    const Tensor rebuilt =
+        zoo.original(Arch::kResNet).forward(zoo.val_set().images);
+    ASSERT_EQ(rebuilt.shape(), fresh.shape());
+    EXPECT_EQ(max_abs(sub(rebuilt, fresh)), 0.0f);
+  }
+  // The rebuild rewrote the whole file, so a third zoo loads it.
+  EXPECT_EQ(std::filesystem::file_size(files[0]), full_size);
+  {
+    ModelZoo zoo(cfg);
+    const Tensor loaded =
+        zoo.original(Arch::kResNet).forward(zoo.val_set().images);
+    EXPECT_EQ(max_abs(sub(loaded, fresh)), 0.0f);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Zoo, DatasetsAreDeterministicAndDisjointSplits) {
   ZooConfig cfg;
   cfg.verbose = false;
