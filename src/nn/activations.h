@@ -1,7 +1,17 @@
 // Pointwise activation layers.
+//
+// Byte-mask contract: Relu, Relu6, HardSigmoid and LeakyRelu keep no
+// copy of their input for backward. Their forward stores one byte per
+// element, 1 where the input lay inside the layer's pass region (x > 0;
+// 0 < x < 6; -3 < x < 3; x > 0), and their backward selects from the
+// incoming gradient by that byte alone. The byte is the comparison a
+// backward reading the input would make, so gradients are bit for bit
+// the same. Sigmoid keeps its output, which its derivative needs.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nn/module.h"
 
@@ -15,7 +25,7 @@ class Relu : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  PerThread<Tensor> input_;
+  PerThread<std::vector<std::uint8_t>> pass_;
 };
 
 /// ReLU6: y = min(6, max(0, x)) — the MobileNet activation, also friendly
@@ -27,7 +37,7 @@ class Relu6 : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  PerThread<Tensor> input_;
+  PerThread<std::vector<std::uint8_t>> pass_;
 };
 
 /// Logistic sigmoid: y = 1 / (1 + exp(-x)).
@@ -50,7 +60,7 @@ class HardSigmoid : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  PerThread<Tensor> input_;
+  PerThread<std::vector<std::uint8_t>> pass_;
 };
 
 /// Leaky ReLU with fixed negative slope.
@@ -64,7 +74,7 @@ class LeakyRelu : public Module {
 
  private:
   float slope_;
-  PerThread<Tensor> input_;
+  PerThread<std::vector<std::uint8_t>> pass_;
 };
 
 }  // namespace diva

@@ -34,9 +34,13 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   const std::int64_t m = batch * hw;
   State& st = state_.local();
   st.training = training();
+  st.shape = x.shape();
+  // Backward reads xhat only for batch statistics or parameter
+  // gradients; a frozen forward keeps it in a register.
+  const bool keep_xhat = st.training || param_grads_enabled();
 
   Tensor out(x.shape());
-  st.xhat = Tensor(x.shape());
+  if (keep_xhat) st.xhat = Tensor(x.shape());
   st.inv_std.assign(static_cast<std::size_t>(channels_), 0.0f);
 
   for (std::int64_t c = 0; c < channels_; ++c) {
@@ -66,11 +70,18 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
     const float g = gamma_.value[c], b = beta_.value[c];
     for (std::int64_t n = 0; n < batch; ++n) {
       const float* p = x.raw() + (n * channels_ + c) * hw;
-      float* xh = st.xhat.raw() + (n * channels_ + c) * hw;
       float* o = out.raw() + (n * channels_ + c) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        xh[i] = (p[i] - mean_c) * inv_std;
-        o[i] = g * xh[i] + b;
+      if (keep_xhat) {
+        float* xh = st.xhat.raw() + (n * channels_ + c) * hw;
+        for (std::int64_t i = 0; i < hw; ++i) {
+          xh[i] = (p[i] - mean_c) * inv_std;
+          o[i] = g * xh[i] + b;
+        }
+      } else {
+        for (std::int64_t i = 0; i < hw; ++i) {
+          const float xh = (p[i] - mean_c) * inv_std;
+          o[i] = g * xh + b;
+        }
       }
     }
   }
@@ -79,12 +90,14 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   const auto st = state_.take(name());
-  DIVA_CHECK(grad_out.shape() == st->xhat.shape(),
+  DIVA_CHECK(grad_out.shape() == st->shape,
              name() << ": bad grad shape " << grad_out.shape().str());
   const std::int64_t batch = grad_out.dim(0);
   const std::int64_t hw = grad_out.dim(2) * grad_out.dim(3);
   const std::int64_t m = batch * hw;
   const bool want_param_grads = param_grads_enabled();
+  DIVA_CHECK(!want_param_grads || st->xhat.shape() == st->shape,
+             name() << ": parameter gradients enabled after a frozen forward");
   Tensor grad_in(grad_out.shape());
 
   for (std::int64_t c = 0; c < channels_; ++c) {

@@ -6,7 +6,8 @@
 // which is what allows exact folding into a preceding convolution
 // (nn/fold_bn.h). Eval-mode backward is supported (input gradients are
 // needed when attacking eval-mode models); with parameter gradients off
-// it is the affine map alone.
+// it is the affine map alone, and the forward stores no normalized input
+// for it.
 #pragma once
 
 #include <string>
@@ -41,7 +42,8 @@ class BatchNorm2d : public Module {
 
   // Backward caches, released when backward completes.
   struct State {
-    Tensor xhat;                 // normalized input
+    Shape shape;                 // input shape
+    Tensor xhat;                 // normalized input; empty when frozen
     std::vector<float> inv_std;  // per channel
     bool training = false;       // forward normalized with batch statistics
   };

@@ -30,15 +30,21 @@ class Sequential : public Module {
     return ref;
   }
 
+  // Both passes start from the first child's result, so the input is
+  // never copied.
   Tensor forward(const Tensor& x) override {
-    Tensor h = x;
-    for (auto& m : modules_) h = m->forward(h);
+    if (modules_.empty()) return x;
+    Tensor h = modules_.front()->forward(x);
+    for (auto it = modules_.begin() + 1; it != modules_.end(); ++it) {
+      h = (*it)->forward(h);
+    }
     return h;
   }
 
   Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
-    for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
+    if (modules_.empty()) return grad_out;
+    Tensor g = modules_.back()->backward(grad_out);
+    for (auto it = modules_.rbegin() + 1; it != modules_.rend(); ++it) {
       g = (*it)->backward(g);
     }
     return g;

@@ -6,14 +6,16 @@
 namespace diva {
 
 Tensor fake_quantize(const Tensor& x, const QuantParams& qp) {
-  Tensor out(x.shape());
+  const std::int64_t n = x.numel();
   const float inv = 1.0f / qp.scale;
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const auto q = static_cast<std::int32_t>(std::lround(x[i] * inv)) +
-                   qp.zero_point;
-    const std::int32_t qc = std::clamp<std::int32_t>(q, kQmin, kQmax);
-    out[i] = static_cast<float>(qc - qp.zero_point) * qp.scale;
-  }
+  const float zp = static_cast<float>(qp.zero_point);
+  Tensor out(x.shape());
+  const float* in = x.raw();
+  float* o = out.raw();
+  for (std::int64_t i = 0; i < n; ++i) o[i] = in[i] * inv;
+  round_to_codes(out.data(), qp.zero_point);
+  // code - zp is a small integer, exact in float.
+  for (std::int64_t i = 0; i < n; ++i) o[i] = (o[i] - zp) * qp.scale;
   return out;
 }
 
@@ -29,10 +31,9 @@ Tensor fake_quantize_per_channel(const Tensor& w,
     const float inv = 1.0f / s;
     const float* p = w.raw() + c * per;
     float* o = out.raw() + c * per;
-    for (std::int64_t i = 0; i < per; ++i) {
-      const auto q = static_cast<std::int32_t>(std::lround(p[i] * inv));
-      o[i] = static_cast<float>(std::clamp<std::int32_t>(q, kQmin, kQmax)) * s;
-    }
+    for (std::int64_t i = 0; i < per; ++i) o[i] = p[i] * inv;
+    round_to_codes({o, static_cast<std::size_t>(per)}, 0);
+    for (std::int64_t i = 0; i < per; ++i) o[i] *= s;
   }
   return out;
 }
@@ -72,9 +73,9 @@ Tensor ActFakeQuant::forward(const Tensor& x) {
     }
   }
 
-  Tensor& mask = pass_mask_.local();
+  std::vector<std::uint8_t>& mask = pass_mask_.local();
   if (!initialized() || !quantize_enabled_) {
-    mask = Tensor();
+    mask.clear();
     return x;
   }
 
@@ -82,21 +83,27 @@ Tensor ActFakeQuant::forward(const Tensor& x) {
   // Representable real range for the STE clipping mask.
   const float lo = (static_cast<float>(kQmin) - qp.zero_point) * qp.scale;
   const float hi = (static_cast<float>(kQmax) - qp.zero_point) * qp.scale;
-  mask = Tensor(x.shape());
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    mask[i] = (x[i] >= lo && x[i] <= hi) ? 1.0f : 0.0f;
-  }
+  const std::int64_t n = x.numel();
+  mask.resize(static_cast<std::size_t>(n));
+  const float* in = x.raw();
+  std::uint8_t* m = mask.data();
+  for (std::int64_t i = 0; i < n; ++i) m[i] = (in[i] >= lo) & (in[i] <= hi);
   return fake_quantize(x, qp);
 }
 
 Tensor ActFakeQuant::backward(const Tensor& grad_out) {
   const auto mask = pass_mask_.take(name());
   if (mask->empty()) return grad_out;
-  DIVA_CHECK(grad_out.shape() == mask->shape(), name() << ": bad grad shape");
+  const std::int64_t n = grad_out.numel();
+  DIVA_CHECK(static_cast<std::size_t>(n) == mask->size(),
+             name() << ": bad grad shape " << grad_out.shape().str());
   Tensor grad_in(grad_out.shape());
-  for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
-    grad_in[i] = grad_out[i] * (*mask)[i];
-  }
+  const float* g = grad_out.raw();
+  const std::uint8_t* m = mask->data();
+  float* gi = grad_in.raw();
+  // g * 1.0f or g * 0.0f, as with a float mask: a clipped negative
+  // gradient stays -0.0f and a non-finite one stays NaN.
+  for (std::int64_t i = 0; i < n; ++i) gi[i] = g[i] * static_cast<float>(m[i]);
   return grad_in;
 }
 

@@ -8,12 +8,20 @@
 // moving average of the observed min/max (TF MovingAverageQuantize
 // behavior); in eval mode it quantizes with the frozen range.
 //
+// Exact-rounding contract: fake_quantize, fake_quantize_per_channel and
+// the QAT weight paths round through round_to_codes (quant/qparams.h),
+// which is bit for bit clamp(lround(v) + zero_point) for every finite v,
+// saturates instead of wrapping where lround overflows int32, and sends
+// NaN to the zero point. The STE mask is one byte per element; backward
+// multiplies the gradient by it as a float, exactly as a float mask did.
+//
 // Until the first training-mode forward initializes the range, the layer
 // is a pass-through, so a freshly-built QAT skeleton behaves exactly
 // like its float counterpart — which is what makes weight-transfer
 // verification possible.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,9 +69,10 @@ class ActFakeQuant : public Module {
   bool quantize_enabled_ = true;
   // Buffer {min, max, initialized-flag}; persisted with checkpoints.
   Parameter range_;
-  // STE clipping mask of the forward: 1 where the gradient passes. Empty
-  // when the forward passed its input through unquantized.
-  PerThread<Tensor> pass_mask_;
+  // STE clipping mask of the forward: one byte per element, 1 where the
+  // gradient passes. Empty when the forward passed its input through
+  // unquantized.
+  PerThread<std::vector<std::uint8_t>> pass_mask_;
 };
 
 }  // namespace diva

@@ -42,18 +42,16 @@ std::vector<float> QatDense::weight_scales() const {
 
 const Tensor& QatDense::effective_weight(Tensor& scratch) {
   const auto scales = weight_scales();
+  const float* s = scales.data();
   const Tensor& w = weight().value;
   const std::int64_t in = w.dim(0), out = w.dim(1);
   scratch = Tensor(w.shape());
   for (std::int64_t i = 0; i < in; ++i) {
     const float* row = w.raw() + i * out;
     float* orow = scratch.raw() + i * out;
-    for (std::int64_t j = 0; j < out; ++j) {
-      const float s = scales[static_cast<std::size_t>(j)];
-      const auto q = static_cast<std::int32_t>(std::lround(row[j] / s));
-      orow[j] =
-          static_cast<float>(std::clamp<std::int32_t>(q, kQmin, kQmax)) * s;
-    }
+    for (std::int64_t j = 0; j < out; ++j) orow[j] = row[j] / s[j];
+    round_to_codes({orow, static_cast<std::size_t>(out)}, 0);
+    for (std::int64_t j = 0; j < out; ++j) orow[j] *= s[j];
   }
   return scratch;
 }

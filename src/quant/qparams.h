@@ -32,6 +32,19 @@ struct QuantParams {
   bool operator==(const QuantParams&) const = default;
 };
 
+/// Exact round-and-clamp onto the int8 grid, in place: each v[i]
+/// becomes the code clamp(lround(v[i]) + zero_point, kQmin, kQmax),
+/// held exactly as a float. Rounding is half away from zero, bit for
+/// bit std::lround, for every finite v; a v whose rounding would not fit
+/// an int32 saturates like any other out-of-range value, and NaN gets
+/// the zero point. The caller computes v (x * inv or x / s) and keeps
+/// that choice: the two differ in the last bit.
+///
+/// The body runs four lanes at a time on SSE2, plus a scalar tail with
+/// the same arithmetic, which QuantParams::quantize also uses. GCC does
+/// not vectorize the scalar form under the default -ftrapping-math.
+void round_to_codes(std::span<float> v, std::int32_t zero_point);
+
 /// Derives affine qparams from an observed float range. The range is
 /// expanded to include zero (so that real 0.0 is exactly representable,
 /// a requirement for zero-padding correctness).

@@ -10,10 +10,14 @@
 
 namespace diva {
 
-/// Immutable-ish dimension vector with row-major index math.
+/// Immutable dimension vector with row-major index math.
 ///
 /// Invariant: every dimension is >= 0. numel() is the product of all
-/// dimensions (1 for rank-0).
+/// dimensions (1 for rank-0), computed once by the constructor and
+/// stored: dims never change after construction. A stored count is a
+/// plain load the compiler can hoist, so a loop bounded by
+/// `t.numel()` vectorizes; a count recomputed on every call would walk
+/// the dims in each iteration and keep the loop scalar.
 class Shape {
  public:
   Shape() = default;
@@ -31,11 +35,7 @@ class Shape {
   }
 
   /// Total element count (product of dims; 1 for scalar rank-0).
-  std::int64_t numel() const {
-    std::int64_t n = 1;
-    for (auto d : dims_) n *= d;
-    return n;
-  }
+  std::int64_t numel() const { return numel_; }
 
   const std::vector<std::int64_t>& dims() const { return dims_; }
 
@@ -53,11 +53,15 @@ class Shape {
   }
 
  private:
-  void validate() const {
-    for (auto d : dims_) DIVA_CHECK(d >= 0, "negative dim in shape " << str());
+  void validate() {
+    for (auto d : dims_) {
+      DIVA_CHECK(d >= 0, "negative dim in shape " << str());
+      numel_ *= d;
+    }
   }
 
   std::vector<std::int64_t> dims_;
+  std::int64_t numel_ = 1;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Shape& s) {

@@ -4,6 +4,9 @@
 // gradients.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/composite.h"
@@ -102,28 +105,38 @@ TEST(Gradients, BatchNormEvalMode) {
 
 TEST(Gradients, BatchNormFrozenEvalBackwardLeavesParamGradsAlone) {
   // Attack mode (eval, parameter gradients off) must propagate the input
-  // gradient only: gamma/beta gradients stay untouched, and the input
-  // gradient is the same as with parameter gradients on.
+  // gradient only: gamma/beta gradients stay untouched, and the output
+  // and input gradient are bit for bit those with parameter gradients
+  // on, though the frozen forward stores no normalized input.
   BatchNorm2d bn("bn", 3);
   Rng rng(34);
   bn.gamma().value.fill_uniform(rng, 0.5f, 1.5f);
+  bn.beta().value.fill_uniform(rng, -0.2f, 0.2f);
   bn.running_mean().value.fill_uniform(rng, -0.3f, 0.3f);
   bn.running_var().value.fill_uniform(rng, 0.5f, 1.5f);
   bn.set_training(false);
-  const Tensor x = random_tensor(Shape{2, 3, 4, 4}, 35);
-  const Tensor probe = random_tensor(Shape{2, 3, 4, 4}, 36);
+  const Tensor x = random_tensor(Shape{2, 3, 4, 5}, 35);
+  const Tensor probe = random_tensor(x.shape(), 36);
+  const std::size_t bytes = sizeof(float) * x.numel();
 
-  (void)bn.forward(x);
+  const Tensor y_full = bn.forward(x);
   const Tensor dx_full = bn.backward(probe);
 
   bn.zero_grad();
   bn.set_param_grads_enabled(false);
-  (void)bn.forward(x);
+  const Tensor y_frozen = bn.forward(x);
   const Tensor dx_frozen = bn.backward(probe);
   EXPECT_EQ(max_abs(bn.gamma().grad), 0.0f);
   EXPECT_EQ(max_abs(bn.beta().grad), 0.0f);
   EXPECT_GT(max_abs(dx_frozen), 0.0f);
-  EXPECT_EQ(max_abs(sub(dx_full, dx_frozen)), 0.0f);
+  EXPECT_EQ(std::memcmp(y_full.raw(), y_frozen.raw(), bytes), 0);
+  EXPECT_EQ(std::memcmp(dx_full.raw(), dx_frozen.raw(), bytes), 0);
+
+  // Parameter gradients switched on between a frozen forward and its
+  // backward: there is no normalized input to read, so backward throws.
+  (void)bn.forward(x);
+  bn.set_param_grads_enabled(true);
+  EXPECT_THROW((void)bn.backward(probe), Error);
 }
 
 TEST(Gradients, ReluFamily) {
@@ -133,6 +146,65 @@ TEST(Gradients, ReluFamily) {
   check_gradients(relu6, random_tensor(Shape{2, 8}, 30, -8.0f, 8.0f), 31);
   LeakyRelu lrelu("lr", 0.1f);
   check_gradients(lrelu, random_tensor(Shape{2, 6}, 32), 33);
+}
+
+// Forward and backward bytes of a pointwise activation against the
+// formulas that read the input, on inputs that sit on every boundary of
+// the pass region and one float either side of it.
+template <typename Value, typename Grad>
+void expect_pointwise_bytes(Module& m, std::vector<float> boundaries,
+                            Value value, Grad grad) {
+  std::vector<float> xs;
+  for (const float b : boundaries) {
+    xs.push_back(b);
+    xs.push_back(std::nextafter(b, -INFINITY));
+    xs.push_back(std::nextafter(b, INFINITY));
+  }
+  const Tensor noise = random_tensor(Shape{37}, 41, -8.0f, 8.0f);
+  for (std::int64_t i = 0; i < noise.numel(); ++i) xs.push_back(noise[i]);
+  const auto n = static_cast<std::int64_t>(xs.size());
+  Tensor x(Shape{n}, std::move(xs));
+  Tensor g = random_tensor(x.shape(), 42);
+  g[0] = -0.25f;  // a blocked negative gradient must stay +0.0f
+  Tensor want_y(x.shape()), want_dx(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    want_y[i] = value(x[i]);
+    want_dx[i] = grad(x[i], g[i]);
+  }
+  const Tensor y = m.forward(x);
+  const Tensor dx = m.backward(g);
+  EXPECT_EQ(std::memcmp(y.raw(), want_y.raw(), sizeof(float) * y.numel()), 0)
+      << m.name() << " forward";
+  EXPECT_EQ(std::memcmp(dx.raw(), want_dx.raw(), sizeof(float) * dx.numel()),
+            0)
+      << m.name() << " backward";
+}
+
+TEST(Gradients, ActivationMasksBitIdenticalAtBoundaries) {
+  Relu relu("r");
+  expect_pointwise_bytes(
+      relu, {0.0f, -0.0f}, [](float x) { return x > 0.0f ? x : 0.0f; },
+      [](float x, float g) { return x > 0.0f ? g : 0.0f; });
+  Relu6 relu6("r6");
+  expect_pointwise_bytes(
+      relu6, {0.0f, 6.0f},
+      [](float x) { return x <= 0.0f ? 0.0f : (x >= 6.0f ? 6.0f : x); },
+      [](float x, float g) { return (x > 0.0f && x < 6.0f) ? g : 0.0f; });
+  HardSigmoid hsig("hs");
+  expect_pointwise_bytes(
+      hsig, {-3.0f, 3.0f},
+      [](float x) {
+        const float y = x / 6.0f + 0.5f;
+        return y <= 0.0f ? 0.0f : (y >= 1.0f ? 1.0f : y);
+      },
+      [](float x, float g) {
+        return (x > -3.0f && x < 3.0f) ? g / 6.0f : 0.0f;
+      });
+  LeakyRelu lrelu("lr", 0.1f);
+  expect_pointwise_bytes(
+      lrelu, {0.0f, -0.0f},
+      [](float x) { return x > 0.0f ? x : 0.1f * x; },
+      [](float x, float g) { return x > 0.0f ? g : 0.1f * g; });
 }
 
 TEST(Gradients, MaxPool) {

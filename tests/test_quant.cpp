@@ -2,7 +2,10 @@
 // requantization, int8 kernels, and QAT layers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "quant/fake_quant.h"
 #include "quant/int8_kernels.h"
@@ -14,6 +17,185 @@ namespace diva {
 namespace {
 
 using testing::random_tensor;
+
+// The rounding formula round_to_codes replaced, kept here as the
+// reference. Valid while lround(v) fits an int32.
+std::int32_t lround_code(float v, std::int32_t zp) {
+  const auto q = static_cast<std::int32_t>(std::lround(v)) + zp;
+  return std::clamp<std::int32_t>(q, kQmin, kQmax);
+}
+
+// Runs round_to_codes over `v` twice: once whole (SIMD body plus tail)
+// and once an element at a time (scalar tail only). Both must give
+// `want` exactly.
+void expect_codes(const std::vector<float>& v, std::int32_t zp,
+                  const std::vector<std::int32_t>& want) {
+  std::vector<float> whole = v;
+  round_to_codes(whole, zp);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    float one = v[i];
+    round_to_codes({&one, 1}, zp);
+    ASSERT_EQ(whole[i], static_cast<float>(want[i]))
+        << "v=" << v[i] << " zp=" << zp << " at " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(one),
+              std::bit_cast<std::uint32_t>(whole[i]))
+        << "scalar tail differs at v=" << v[i];
+  }
+}
+
+void expect_lround_codes(const std::vector<float>& v) {
+  for (const std::int32_t zp : {0, kQmin, kQmax, -3, 17}) {
+    std::vector<std::int32_t> want;
+    for (const float x : v) want.push_back(lround_code(x, zp));
+    expect_codes(v, zp, want);
+  }
+}
+
+TEST(RoundToCodes, MatchesLroundOnEveryTieAndItsNeighbours) {
+  std::vector<float> v;
+  for (int k = -1100; k <= 1100; ++k) {
+    for (const float tie : {k - 0.5f, k + 0.5f}) {
+      v.push_back(tie);
+      v.push_back(std::nextafter(tie, -INFINITY));
+      v.push_back(std::nextafter(tie, INFINITY));
+    }
+    v.push_back(static_cast<float>(k));
+  }
+  // An odd length: the whole-array pass ends in the scalar tail too.
+  while (v.size() % 4 != 3) v.push_back(0.25f);
+  expect_lround_codes(v);
+}
+
+TEST(RoundToCodes, MatchesLroundOnZerosDenormalsAndLargeValues) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  expect_lround_codes({0.0f, -0.0f, denorm, -denorm, 1e-40f, -1e-40f,
+                       std::numeric_limits<float>::min(), 1e9f, -1e9f,
+                       2147483520.0f, -2147483520.0f});
+}
+
+TEST(RoundToCodes, MatchesLroundOnSeededRandomFloats) {
+  Rng rng(2024);
+  std::vector<float> v;
+  while (v.size() < 1000001) {
+    if (v.size() % 2 == 0) {
+      v.push_back(rng.uniform(-1100.0f, 1100.0f));
+      continue;
+    }
+    // Random bit patterns cover every exponent; keep those whose
+    // lround fits an int32, where the reference formula is defined.
+    const float x = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+    if (std::isfinite(x) && std::fabs(x) < 2e9f) v.push_back(x);
+  }
+  for (const std::int32_t zp : {0, -7}) {
+    std::vector<std::int32_t> want;
+    for (const float x : v) want.push_back(lround_code(x, zp));
+    expect_codes(v, zp, want);
+  }
+}
+
+TEST(RoundToCodes, SaturatesInfinitiesAndSendsNanToTheZeroPoint) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::int32_t zp : {0, kQmin, 42}) {
+    expect_codes({inf, -inf, nan, -nan, 3e9f, -3e9f, 1e30f},
+                 zp, {kQmax, kQmin, zp, zp, kQmax, kQmin, kQmax});
+  }
+}
+
+TEST(QParams, QuantizeSaturatesWhereLroundOverflowsInt32) {
+  // x / scale = 2.55e9 overflows int32: the old cast wrapped it to the
+  // opposite end of the grid.
+  const QuantParams qp = choose_qparams(-1.0f, 1.0f);
+  EXPECT_EQ(qp.quantize(2e7f), kQmax);
+  EXPECT_EQ(qp.quantize(-2e7f), kQmin);
+  EXPECT_EQ(qp.quantize(std::numeric_limits<float>::quiet_NaN()),
+            qp.zero_point);
+  Tensor x(Shape{3});
+  x[0] = 2e7f;
+  x[1] = -2e7f;
+  x[2] = std::numeric_limits<float>::quiet_NaN();
+  const Tensor y = fake_quantize(x, qp);
+  EXPECT_EQ(y[0], qp.dequantize(static_cast<std::int8_t>(kQmax)));
+  EXPECT_EQ(y[1], qp.dequantize(static_cast<std::int8_t>(kQmin)));
+  EXPECT_EQ(y[2], 0.0f);
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), sizeof(float) * a.numel()) == 0;
+}
+
+TEST(FakeQuant, BitIdenticalToTheLroundFormula) {
+  // fake_quantize keeps v = x * (1 / scale); every element crosses the
+  // grid, including both clip regions, over an odd length.
+  const QuantParams qp = choose_qparams(-0.7f, 2.3f);
+  const Tensor x = random_tensor(Shape{1027}, 9, -3.0f, 4.0f);
+  const float inv = 1.0f / qp.scale;
+  Tensor want(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const std::int32_t qc = lround_code(x[i] * inv, qp.zero_point);
+    want[i] = static_cast<float>(qc - qp.zero_point) * qp.scale;
+  }
+  EXPECT_TRUE(same_bytes(fake_quantize(x, qp), want));
+}
+
+TEST(FakeQuant, PerChannelBitIdenticalToTheLroundFormula) {
+  const Tensor w = random_tensor(Shape{5, 3, 3, 3}, 10);
+  std::vector<float> scales = per_channel_scales(w);
+  scales[1] *= 0.25f;  // channel 1 clips
+  const std::int64_t per = w.numel() / 5;
+  Tensor want(w.shape());
+  for (std::int64_t c = 0; c < 5; ++c) {
+    const float s = scales[static_cast<std::size_t>(c)];
+    for (std::int64_t i = 0; i < per; ++i) {
+      want[c * per + i] =
+          static_cast<float>(lround_code(w[c * per + i] * (1.0f / s), 0)) * s;
+    }
+  }
+  EXPECT_TRUE(same_bytes(fake_quantize_per_channel(w, scales), want));
+}
+
+TEST(QParams, QuantizeTensorAndPerChannelMatchTheLroundFormula) {
+  const QuantParams qp = choose_qparams(-1.0f, 3.0f);
+  const Tensor x = random_tensor(Shape{203}, 11, -2.0f, 4.0f);
+  const auto q = quantize_tensor(x, qp);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    ASSERT_EQ(q[static_cast<std::size_t>(i)],
+              lround_code(x[i] / qp.scale, qp.zero_point));
+  }
+  const Tensor w = random_tensor(Shape{3, 7}, 12);
+  const auto scales = per_channel_scales(w);
+  const auto qw = quantize_per_channel(w, scales);
+  for (std::int64_t c = 0; c < 3; ++c) {
+    for (std::int64_t i = 0; i < 7; ++i) {
+      ASSERT_EQ(qw[static_cast<std::size_t>(c * 7 + i)],
+                lround_code(w.at(c, i) * (1.0f / scales[c]), 0));
+    }
+  }
+}
+
+// Exposes the fake-quantized weight the QAT dense layer runs with.
+struct QatDenseProbe : QatDense {
+  using QatDense::QatDense;
+  using QatDense::effective_weight;
+};
+
+TEST(QatLayers, QatDenseEffectiveWeightBitIdenticalToTheLroundFormula) {
+  // QatDense keeps v = w / s (not w * (1 / s)).
+  QatDenseProbe fc("qfc", 9, 7);
+  init_parameters(fc, 18);
+  const Tensor& w = fc.weight().value;
+  const auto scales = fc.weight_scales();
+  Tensor want(w.shape());
+  for (std::int64_t i = 0; i < 9; ++i) {
+    for (std::int64_t j = 0; j < 7; ++j) {
+      const float s = scales[static_cast<std::size_t>(j)];
+      want.at(i, j) = static_cast<float>(lround_code(w.at(i, j) / s, 0)) * s;
+    }
+  }
+  Tensor scratch;
+  EXPECT_TRUE(same_bytes(fc.effective_weight(scratch), want));
+}
 
 TEST(QParams, ChooseQParamsIncludesZeroAndCoversRange) {
   const QuantParams qp = choose_qparams(-1.0f, 3.0f);
@@ -179,6 +361,42 @@ TEST(ActFakeQuant, SteBackwardMasksClippedRegions) {
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[1], 1.0f);
   EXPECT_EQ(dx[2], 0.0f);
+}
+
+TEST(ActFakeQuant, ByteMaskBitIdenticalToTheFloatMask) {
+  // Inputs on lo and hi exactly, and just outside them, must pass and
+  // clip as the float-mask formula did; the backward keeps -0.0f for a
+  // clipped negative gradient and NaN for a clipped NaN gradient.
+  ActFakeQuant fq("fq");
+  fq.set_range(-0.9f, 2.1f);
+  fq.set_training(false);
+  const QuantParams qp = fq.qparams();
+  const float lo = (static_cast<float>(kQmin) - qp.zero_point) * qp.scale;
+  const float hi = (static_cast<float>(kQmax) - qp.zero_point) * qp.scale;
+  Tensor x = random_tensor(Shape{2, 3, 5, 7}, 19, -1.5f, 2.5f);
+  x[0] = lo;
+  x[1] = hi;
+  x[2] = std::nextafter(lo, -INFINITY);
+  x[3] = std::nextafter(hi, INFINITY);
+  Tensor g = random_tensor(x.shape(), 20);
+  g[2] = -0.5f;
+  g[3] = std::numeric_limits<float>::quiet_NaN();
+
+  Tensor want_y(x.shape()), want_dx(x.shape());
+  const float inv = 1.0f / qp.scale;
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const std::int32_t qc = lround_code(x[i] * inv, qp.zero_point);
+    want_y[i] = static_cast<float>(qc - qp.zero_point) * qp.scale;
+    const float mask = (x[i] >= lo && x[i] <= hi) ? 1.0f : 0.0f;
+    want_dx[i] = g[i] * mask;
+  }
+  EXPECT_TRUE(same_bytes(fq.forward(x), want_y));
+  const Tensor dx = fq.backward(g);
+  EXPECT_TRUE(same_bytes(dx, want_dx));
+  EXPECT_EQ(dx[0], g[0]);
+  EXPECT_EQ(dx[1], g[1]);
+  EXPECT_TRUE(std::signbit(dx[2]));
+  EXPECT_TRUE(std::isnan(dx[3]));
 }
 
 TEST(Int8Kernels, QDenseMatchesFloatReference) {

@@ -138,11 +138,12 @@ TEST(ThreadPool, RunsSubmittedJobs) {
   std::mutex mu;
   std::condition_variable cv;
   for (int i = 0; i < 16; ++i) {
+    // Count and notify under the lock: a job that counted outside it
+    // could let the waiter return and destroy mu and cv before the job
+    // locked them.
     pool.submit([&] {
-      if (done.fetch_add(1) == 15) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == 16) cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);

@@ -16,7 +16,14 @@ TEST(Shape, BasicProperties) {
   EXPECT_EQ(s.numel(), 24);
   EXPECT_EQ(s[1], 3);
   EXPECT_EQ(s.str(), "[2, 3, 4]");
+  // numel() is stored by every constructor, for every rank.
   EXPECT_EQ(Shape{}.numel(), 1);
+  EXPECT_EQ(Shape(std::vector<std::int64_t>{}).numel(), 1);
+  EXPECT_EQ(Shape(std::vector<std::int64_t>{2, 5}).numel(), 10);
+  EXPECT_EQ((Shape{3, 0, 5}).numel(), 0);
+  EXPECT_EQ(Tensor(Shape{3, 0, 5}).data().size(), 0u);
+  const Shape copy = s;
+  EXPECT_EQ(copy.numel(), 24);
 }
 
 TEST(Shape, EqualityAndValidation) {
@@ -48,6 +55,10 @@ TEST(Tensor, ReshapePreservesDataAndChecksNumel) {
   for (std::int64_t i = 0; i < 6; ++i) t[i] = static_cast<float>(i);
   Tensor r = t.reshaped(Shape{3, 2});
   EXPECT_EQ(r.at(2, 1), 5.0f);
+  EXPECT_EQ(r.numel(), 6);
+  const Tensor flat = std::move(r).reshaped(Shape{6});
+  EXPECT_EQ(flat.numel(), 6);
+  EXPECT_EQ(flat[5], 5.0f);
   EXPECT_THROW((void)t.reshaped(Shape{4, 2}), Error);
 }
 
